@@ -21,8 +21,15 @@
 /// serialized product states, optional parent tracking for counterexample
 /// traces, assertion checking, the Definition 6.1 data-race check on
 /// non-atomic locations, a per-access hook (used for the Theorem 5.3
-/// robustness conditions), and optional collection of reachable
-/// program-state projections (used by the state-robustness oracles).
+/// robustness conditions), a per-state hook that sees every newly
+/// interned state once (used by the graph oracle), and optional
+/// collection of reachable program-state projections (used by the
+/// state-robustness oracles).
+///
+/// Full state payloads live only in the frontier (BFS queue or DFS
+/// stack) and are dropped once expanded: after that a state exists only
+/// as its visited-set entry and, with RecordParents, a fixed-size trace
+/// edge from which the step text is rendered when a trace is printed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,9 +161,9 @@ struct ExploreOptions {
   SearchOrder Order = SearchOrder::BFS;
   /// When non-zero, use Spin-style bitstate hashing with 2^k bits
   /// instead of storing full state keys: the visited set shrinks to
-  /// 2^k/8 bytes and expanded states' payloads are released, so only
-  /// the visited bits and the unexpanded frontier occupy memory — but
-  /// hash collisions may prune reachable states, making "no violation"
+  /// 2^k/8 bytes, so only the visited bits and the unexpanded frontier
+  /// (the only payloads any mode keeps) occupy memory — but hash
+  /// collisions may prune reachable states, making "no violation"
   /// results approximate (violations found remain real). Takes
   /// precedence over CompressVisited.
   unsigned BitstateLog2 = 0;
@@ -263,10 +270,12 @@ public:
     MemState M;
   };
 
-  /// Runs the exploration with an access hook (see class comment). Use
-  /// run() when no hook is needed.
-  template <typename AccessHook>
-  ExploreResult runWithHook(AccessHook Hook) {
+  /// Runs the exploration with an access hook and a state hook. The state
+  /// hook sees every newly interned state exactly once (including the
+  /// initial state) and may report a Violation, which is attributed to
+  /// that state — the same contract as ParallelExplorer::runWithHooks.
+  template <typename AccessHook, typename StateHook>
+  ExploreResult runWithHooks(AccessHook Hook, StateHook SHook) {
     RunStart = std::chrono::steady_clock::now();
     LastCkptTime = RunStart;
     obs::Span PhaseSp(Opts.TelemetryPhase);
@@ -330,69 +339,36 @@ public:
     if (Ready && !RR.Resumed)
       // The initial state fast-forwards too: state 0 is its chain
       // endpoint.
-      intern(fastForward(std::move(Init), 0, Res, Hook), Res);
+      intern(fastForward(std::move(Init), 0, Res, Hook), Res, SHook);
     Expanded = ExpandedBase;
     NextCkptExpansions =
         Expanded + Opts.Resilience.CheckpointEveryExpansions;
 
-    if (Ready && Opts.Order == SearchOrder::BFS) {
-      for (; Cursor != States.size(); ++Cursor) {
-        // Governor tick at the loop top: Cursor is the next unexpanded
-        // state, so the frontier [Cursor, N) is a consistent cut for
-        // checkpoints.
-        if ((Expanded & GovMask) == 0 && !governTick(Res, Expanded))
-          break;
-        if (States.size() >= Opts.MaxStates) {
-          Res.Stats.Truncated = true;
-          break;
-        }
-        Res.Stats.PeakFrontier =
-            std::max(Res.Stats.PeakFrontier, States.size() - Cursor);
-        expand(Cursor, Res, Hook);
-        fi::maybeKill("explore.expand");
-        if ((++Expanded & 1023) == 0)
-          publishProgress(Res, States.size() - Cursor - 1);
-        // Under bitstate hashing the stored payloads exist only to be
-        // expanded once (there is no exact visited map pointing back at
-        // them), so release each one as soon as it has been expanded —
-        // this is what makes the "memory drops to the bit array" claim
-        // true instead of aspirational. The governor's no-payload rung
-        // reuses the same release (ReleasePayloads) while the visited
-        // set stays exact.
-        if (Opts.BitstateLog2 || ReleasePayloads) {
-          States[Cursor] = ProductState();
-          --LivePayloads;
-        }
-        if (!Res.Violations.empty() && Opts.StopOnViolation)
-          break;
+    while (Ready && !Frontier.empty()) {
+      // Governor tick at the loop top: the frontier is then a
+      // consistent cut for checkpoints.
+      if ((Expanded & GovMask) == 0 && !governTick(Res, Expanded))
+        break;
+      if (NumStored >= Opts.MaxStates) {
+        Res.Stats.Truncated = true;
+        break;
       }
-    } else if (Ready) {
-      if (!RR.Resumed)
-        DfsStack.push_back(0);
-      while (!DfsStack.empty()) {
-        // See the BFS loop: the stack is the consistent frontier cut.
-        if ((Expanded & GovMask) == 0 && !governTick(Res, Expanded))
-          break;
-        if (States.size() >= Opts.MaxStates) {
-          Res.Stats.Truncated = true;
-          break;
-        }
-        Res.Stats.PeakFrontier =
-            std::max(Res.Stats.PeakFrontier,
-                     static_cast<uint64_t>(DfsStack.size()));
-        uint64_t Id = DfsStack.back();
-        DfsStack.pop_back();
-        expand(Id, Res, Hook);
-        fi::maybeKill("explore.expand");
-        if ((++Expanded & 1023) == 0)
-          publishProgress(Res, DfsStack.size());
-        if (Opts.BitstateLog2 || ReleasePayloads) { // See the BFS loop.
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-        if (!Res.Violations.empty() && Opts.StopOnViolation)
-          break;
-      }
+      Res.Stats.PeakFrontier =
+          std::max(Res.Stats.PeakFrontier,
+                   static_cast<uint64_t>(Frontier.size()));
+      const bool Bfs = Opts.Order == SearchOrder::BFS;
+      Pending Cur = Bfs ? std::move(Frontier.front())
+                        : std::move(Frontier.back());
+      if (Bfs)
+        Frontier.pop_front();
+      else
+        Frontier.pop_back();
+      expand(Cur.Id, Cur.S, Res, Hook, SHook);
+      fi::maybeKill("explore.expand");
+      if ((++Expanded & 1023) == 0)
+        publishProgress(Res, Frontier.size());
+      if (!Res.Violations.empty() && Opts.StopOnViolation)
+        break;
     }
 
     // A truncated run (budget, deadline, signal, state cap) leaves a
@@ -400,7 +376,7 @@ public:
     if (Res.Stats.Truncated && ckptActive() && RR.ResumeError.empty())
       writeCheckpoint(Res, Expanded, elapsedSeconds());
 
-    Res.Stats.NumStates = States.size();
+    Res.Stats.NumStates = NumStored;
     if (Opts.BitstateLog2) {
       Res.Stats.VisitedBytes = Bitstate.size() * sizeof(uint64_t);
       Res.Stats.VisitedRawBytes = RawVisitedBytes;
@@ -454,6 +430,15 @@ public:
     return Res;
   }
 
+  /// Runs the exploration with an access hook only (see class comment).
+  template <typename AccessHook>
+  ExploreResult runWithHook(AccessHook Hook) {
+    return runWithHooks(Hook, [](const ProductState &)
+                            -> std::optional<Violation> {
+      return std::nullopt;
+    });
+  }
+
   ExploreResult run() {
     return runWithHook([](const MemState &, ThreadId, uint32_t,
                           const MemAccess &) -> std::optional<Violation> {
@@ -462,6 +447,8 @@ public:
   }
 
   /// Reconstructs the trace (root to violation state) for a violation.
+  /// Step text is rendered here, from the stored (thread, label, pc)
+  /// edge, rather than per successor during the search.
   std::vector<TraceStep> trace(const Violation &V) const {
     std::vector<TraceStep> Steps;
     if (!Opts.RecordParents)
@@ -470,7 +457,7 @@ public:
     while (Id != 0) {
       const ParentEdge &E = Parents[Id];
       Steps.push_back(TraceStep{E.Thread, E.Internal, E.IsAccess, E.L,
-                                E.Text});
+                                edgeText(E)});
       Id = E.Parent;
     }
     std::reverse(Steps.begin(), Steps.end());
@@ -480,19 +467,38 @@ public:
   /// Renders a violation plus its trace for humans.
   std::string report(const Violation &V) const;
 
-  /// Access to a stored state (e.g. for debugging and tests).
-  const ProductState &state(uint64_t Id) const { return States[Id]; }
-  uint64_t numStates() const { return States.size(); }
+  /// Payloads still waiting for expansion: empty after a complete run,
+  /// since expanded states keep no payload.
+  uint64_t frontierSize() const { return Frontier.size(); }
 
 private:
+  /// One trace edge: enough to re-render the step's text on demand.
   struct ParentEdge {
     uint64_t Parent = 0;
+    uint32_t FromPc = 0;    ///< Local steps: pc of the first ε-instruction.
+    uint16_t Collapsed = 0; ///< Local steps: ε-instructions folded in.
     ThreadId Thread = 0;
     bool Internal = false;
     bool IsAccess = false;
     Label L{};
-    std::string Text;
   };
+
+  /// An unexpanded state: its id (discovery index) and payload.
+  struct Pending {
+    uint64_t Id = 0;
+    ProductState S;
+  };
+
+  /// The step text formatViolation prints for \p E.
+  std::string edgeText(const ParentEdge &E) const {
+    if (E.Internal)
+      return "flush";
+    if (E.IsAccess)
+      return toString(P, E.L);
+    return (E.Collapsed > 1 ? "local x" + std::to_string(E.Collapsed) + ": "
+                            : "local: ") +
+           toString(P, E.Thread, P.Threads[E.Thread].Insts[E.FromPc]);
+  }
 
   /// Adds a state if new; returns its id (or the existing one). Under
   /// bitstate hashing, "new" is approximated by two independent hash
@@ -500,7 +506,8 @@ private:
   /// visited and their ids are not reusable (returns NoId).
   static constexpr uint64_t NoId = ~static_cast<uint64_t>(0);
 
-  uint64_t intern(ProductState &&S, ExploreResult &Res) {
+  template <typename StateHook>
+  uint64_t intern(ProductState &&S, ExploreResult &Res, StateHook &SHook) {
     obs::Span Sp(obs::Phase::VisitedProbe);
     if (Opts.BitstateLog2) {
       std::string Key = productStateKey(Mem, S.Threads, S.M);
@@ -518,7 +525,7 @@ private:
       Bitstate[B1 / 64] |= static_cast<uint64_t>(1) << (B1 % 64);
       Bitstate[B2 / 64] |= static_cast<uint64_t>(1) << (B2 % 64);
       RawVisitedBytes += stringNodeBytes(Key.size(), sizeof(uint64_t));
-      return finishNew(std::move(S), Res);
+      return finishNew(std::move(S), Res, SHook);
     }
 
     if (Interner) {
@@ -546,48 +553,52 @@ private:
         ++Res.Stats.DedupHits;
         return Id; // Dense tuple ids coincide with state ids.
       }
-      return finishNew(std::move(S), Res);
+      return finishNew(std::move(S), Res, SHook);
     }
 
     std::string Key = productStateKey(Mem, S.Threads, S.M);
     size_t KeyLen = Key.size();
-    auto [It, New] = Visited.emplace(std::move(Key), States.size());
+    auto [It, New] = Visited.emplace(std::move(Key), NumStored);
     if (!New) {
       ++Res.Stats.DedupHits;
       return It->second;
     }
     RawVisitedBytes += stringNodeBytes(KeyLen, sizeof(uint64_t));
-    return finishNew(std::move(S), Res);
+    return finishNew(std::move(S), Res, SHook);
   }
 
   /// Common tail for newly visited states: record the program-state
-  /// projection, store the state, and schedule it.
-  uint64_t finishNew(ProductState &&S, ExploreResult &Res) {
+  /// projection, run the state hook, and schedule the state.
+  template <typename StateHook>
+  uint64_t finishNew(ProductState &&S, ExploreResult &Res,
+                     StateHook &SHook) {
+    uint64_t Id = NumStored++;
     if (Opts.CollectProgramStates)
       Res.ProgramStates.insert(programStateKey(S.Threads));
-    ++LivePayloads; // Released after expansion on degraded rungs.
-    States.push_back(std::move(S));
+    if (std::optional<Violation> V = SHook(S)) {
+      V->StateId = Id;
+      Res.Violations.push_back(std::move(*V));
+    }
     if (Opts.RecordParents)
       Parents.emplace_back();
-    if (Opts.Order == SearchOrder::DFS && States.size() > 1)
-      DfsStack.push_back(States.size() - 1);
-    return States.size() - 1;
+    Frontier.push_back(Pending{Id, std::move(S)});
+    return Id;
   }
 
   /// Publishes live counts for the progress reporter (every ~1k
   /// expansions; the visited-set footprint every 8th push because
   /// bytesUsed() walks the interner's arenas).
-  void publishProgress(ExploreResult &Res, uint64_t Frontier) {
+  void publishProgress(ExploreResult &Res, uint64_t FrontierSize) {
     if constexpr (!obs::telemetryEnabled())
       return;
-    obs::progressUpdate(States.size(), Frontier);
+    obs::progressUpdate(NumStored, FrontierSize);
     obs::progressAddCounts(Res.Stats.NumTransitions - PubTransitions,
                            Res.Stats.DedupHits - PubDedupHits);
     PubTransitions = Res.Stats.NumTransitions;
     PubDedupHits = Res.Stats.DedupHits;
     if (obs::traceActive()) {
-      obs::traceCounter(obs::TraceCounterTrack::States, States.size());
-      obs::traceCounter(obs::TraceCounterTrack::Frontier, Frontier);
+      obs::traceCounter(obs::TraceCounterTrack::States, NumStored);
+      obs::traceCounter(obs::TraceCounterTrack::Frontier, FrontierSize);
     }
     if ((++PubCount & 7) != 0)
       return;
@@ -599,20 +610,12 @@ private:
     obs::traceCounter(obs::TraceCounterTrack::VisitedBytes, VisitedB);
   }
 
-  void link(uint64_t Child, uint64_t Parent, ThreadId T, bool Internal,
-            std::string Text, const Label *L = nullptr) {
-    if (Child == NoId || !Opts.RecordParents ||
-        Child != States.size() - 1 || Child == 0)
+  /// Records the edge that discovered \p Child when it is the state just
+  /// interned (ids are discovery indices; the root has no edge).
+  void link(uint64_t Child, const ParentEdge &E) {
+    if (Child == NoId || !Opts.RecordParents || Child != NumStored - 1 ||
+        Child == 0)
       return;
-    ParentEdge E;
-    E.Parent = Parent;
-    E.Thread = T;
-    E.Internal = Internal;
-    if (L) {
-      E.IsAccess = true;
-      E.L = *L;
-    }
-    E.Text = std::move(Text);
     Parents[Child] = E;
   }
 
@@ -783,8 +786,9 @@ private:
     }
   }
 
-  template <typename AccessHook>
-  void expand(uint64_t Id, ExploreResult &Res, AccessHook &Hook) {
+  template <typename AccessHook, typename StateHook>
+  void expand(uint64_t Id, const ProductState &S, ExploreResult &Res,
+              AccessHook &Hook, StateHook &SHook) {
     // Pending NA accesses for the Definition 6.1 race check.
     struct NaAccess {
       ThreadId T;
@@ -807,14 +811,13 @@ private:
     // in trace mode (and on the contract-breach fallback).
     int Ample = -1;
     bool PorActive = Opts.UsePor && !Opts.CollectProgramStates &&
-                     Por.usable() && memPorEligible(Mem, States[Id].M);
+                     Por.usable() && memPorEligible(Mem, S.M);
     if (PorActive) {
       StepsBuf.clear();
       for (unsigned T = 0; T != P.numThreads(); ++T)
         StepsBuf.push_back(inspectThread(P, static_cast<ThreadId>(T),
-                                         States[Id].Threads[T]));
-      Ample = Por.selectAmple(StepsBuf, States[Id].Threads,
-                              Opts.CollapseLocalSteps);
+                                         S.Threads[T]));
+      Ample = Por.selectAmple(StepsBuf, S.Threads, Opts.CollapseLocalSteps);
       if (Ample >= 0)
         ++AmpleStates;
       else
@@ -822,11 +825,10 @@ private:
     }
 
     for (unsigned T = 0; T != P.numThreads(); ++T) {
-      // The state vector may reallocate during expansion; re-index.
       ThreadStep Step = PorActive
                             ? StepsBuf[T]
                             : inspectThread(P, static_cast<ThreadId>(T),
-                                            States[Id].Threads[T]);
+                                            S.Threads[T]);
       if (Step.K != ThreadStep::Kind::Halted)
         AllHalted = false;
       switch (Step.K) {
@@ -838,9 +840,8 @@ private:
           break;
         }
         ProductState Next;
-        Next.Threads = States[Id].Threads;
-        Next.M = States[Id].M;
-        uint32_t FromPc = Next.Threads[T].Pc;
+        Next.Threads = S.Threads;
+        Next.M = S.M;
         Next.Threads[T] = Step.Next;
         unsigned Collapsed = 1;
         if (Opts.CollapseLocalSteps) {
@@ -856,13 +857,12 @@ private:
           }
         }
         ++Res.Stats.NumTransitions;
-        uint64_t C =
-            intern(fastForward(std::move(Next), Id, Res, Hook), Res);
-        link(C, Id, static_cast<ThreadId>(T), false,
-             (Collapsed > 1 ? "local x" + std::to_string(Collapsed) + ": "
-                            : "local: ") +
-                 toString(P, static_cast<ThreadId>(T),
-                          P.Threads[T].Insts[FromPc]));
+        link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
+                    SHook),
+             ParentEdge{.Parent = Id,
+                        .FromPc = S.Threads[T].Pc,
+                        .Collapsed = static_cast<uint16_t>(Collapsed),
+                        .Thread = static_cast<ThreadId>(T)});
         AnyStep = true;
         break;
       }
@@ -872,7 +872,7 @@ private:
           V.K = Violation::Kind::AssertFail;
           V.StateId = Id;
           V.Thread = static_cast<ThreadId>(T);
-          V.Pc = States[Id].Threads[T].Pc;
+          V.Pc = S.Threads[T].Pc;
           V.Detail = "assertion failed: " +
                      toString(P, static_cast<ThreadId>(T),
                               P.Threads[T].Insts[V.Pc]);
@@ -883,12 +883,12 @@ private:
         break;
       case ThreadStep::Kind::Access: {
         const MemAccess A = Step.A;
-        uint32_t Pc = States[Id].Threads[T].Pc;
+        uint32_t Pc = S.Threads[T].Pc;
         if (Opts.CheckRaces && A.IsNA)
           NaAccesses.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
                                         A.isWriteOnly(), Pc});
         if (std::optional<Violation> V =
-                Hook(States[Id].M, static_cast<ThreadId>(T), Pc, A)) {
+                Hook(S.M, static_cast<ThreadId>(T), Pc, A)) {
           V->StateId = Id;
           V->Thread = static_cast<ThreadId>(T);
           V->Pc = Pc;
@@ -901,19 +901,21 @@ private:
           break;
         }
         Mem.enumerate(
-            States[Id].M, static_cast<ThreadId>(T), A,
+            S.M, static_cast<ThreadId>(T), A,
             [&](const Label &L, MemState &&M2) {
               AnyStep = true;
               ProductState Next;
-              Next.Threads = States[Id].Threads;
+              Next.Threads = S.Threads;
               Next.Threads[T] = applyAccess(P, static_cast<ThreadId>(T),
-                                            States[Id].Threads[T], A, L);
+                                            S.Threads[T], A, L);
               Next.M = std::move(M2);
               ++Res.Stats.NumTransitions;
-              uint64_t C =
-                  intern(fastForward(std::move(Next), Id, Res, Hook), Res);
-              link(C, Id, static_cast<ThreadId>(T), false, toString(P, L),
-                   &L);
+              link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
+                          SHook),
+                   ParentEdge{.Parent = Id,
+                              .Thread = static_cast<ThreadId>(T),
+                              .IsAccess = true,
+                              .L = L});
             });
         break;
       }
@@ -954,15 +956,15 @@ private:
     // asserts none are enabled at ample states, so the scan is skipped
     // there (and the ample step's existence keeps AnyStep truthful).
     if (Ample < 0)
-      Mem.enumerateInternal(States[Id].M, [&](ThreadId T, MemState &&M2) {
+      Mem.enumerateInternal(S.M, [&](ThreadId T, MemState &&M2) {
         AnyStep = true;
         ProductState Next;
-        Next.Threads = States[Id].Threads;
+        Next.Threads = S.Threads;
         Next.M = std::move(M2);
         ++Res.Stats.NumTransitions;
-        uint64_t C =
-            intern(fastForward(std::move(Next), Id, Res, Hook), Res);
-        link(C, Id, T, true, "flush");
+        link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
+                    SHook),
+             ParentEdge{.Parent = Id, .Thread = T, .Internal = true});
       });
 
     if (!AnyStep && !AllHalted)
@@ -1003,13 +1005,13 @@ private:
   }
 
   /// Bytes the governor charges against --mem-budget: the visited set
-  /// plus the live (unreleased) state payloads.
+  /// plus the frontier payloads.
   uint64_t governedBytes() const {
     uint64_t VisitedB = Opts.BitstateLog2
                             ? Bitstate.size() * sizeof(uint64_t)
                         : Interner ? Interner->bytesUsed()
                                    : RawVisitedBytes;
-    return VisitedB + LivePayloads * PayloadUnit;
+    return VisitedB + Frontier.size() * PayloadUnit;
   }
 
   /// One governor tick: stop flag, deadline, periodic checkpoint, memory
@@ -1068,10 +1070,10 @@ private:
     auto &RR = Res.Stats.Resilience;
     StorageRung From = Rung;
     if (Rung == StorageRung::Exact) {
-      // Rung 1: keep the exact visited set, drop expanded payloads.
+      // Rung 1: keep the exact visited set. Expanded states keep no
+      // payloads, so there is nothing to shed; the rung is still taken so
+      // reports show the documented rung sequence.
       Rung = StorageRung::NoPayload;
-      ReleasePayloads = true;
-      releaseExpandedPayloads();
     } else if (Rung == StorageRung::NoPayload) {
       // Rung 2: replace the exact visited set with double-bit bitstate
       // hashing. The verdict becomes approximate (BoundedRobust).
@@ -1083,7 +1085,7 @@ private:
     resilience::DowngradeEvent E;
     E.From = From;
     E.To = Rung;
-    E.AtStates = States.size();
+    E.AtStates = NumStored;
     E.AtSeconds = Elapsed;
     E.UsedBytes = Used;
     RR.Downgrades.push_back(E);
@@ -1092,25 +1094,6 @@ private:
     obs::traceInstant(obs::TraceInstant::Downgrade,
                       static_cast<uint64_t>(Rung));
     return true;
-  }
-
-  /// Releases every already-expanded payload (the frontier keeps its
-  /// payloads — those are still needed for expansion).
-  void releaseExpandedPayloads() {
-    if (Opts.Order == SearchOrder::BFS) {
-      for (uint64_t Id = 0; Id < Cursor; ++Id)
-        if (!States[Id].Threads.empty()) {
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-    } else {
-      std::unordered_set<uint64_t> Live(DfsStack.begin(), DfsStack.end());
-      for (uint64_t Id = 0; Id != States.size(); ++Id)
-        if (!Live.count(Id) && !States[Id].Threads.empty()) {
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-    }
   }
 
   /// Sets the visited bits for hash \p H — the exact double-bit scheme
@@ -1209,7 +1192,9 @@ private:
       W.u8(static_cast<uint8_t>(Rung));
       W.u8(Opts.Order == SearchOrder::DFS ? 1 : 0);
       W.u8(Opts.RecordParents ? 1 : 0);
-      W.u64(States.size());
+      // Under BFS the frontier holds ids [Cursor, N); DFS ignores Cursor.
+      uint64_t Cursor = Frontier.empty() ? NumStored : Frontier.front().Id;
+      W.u64(NumStored);
       W.u64(Cursor);
       W.u64(Expanded);
       W.f64(Elapsed);
@@ -1257,17 +1242,12 @@ private:
           W.u64(KV.second);
         }
       }
-      // Frontier payloads (the only states that still need them).
-      if (Opts.Order == SearchOrder::BFS) {
-        W.u64(States.size() - Cursor);
-        for (uint64_t Id = Cursor; Id != States.size(); ++Id)
-          encodeProductState(W, States[Id]);
-      } else {
-        W.u64(DfsStack.size());
-        for (uint64_t Id : DfsStack) {
-          W.u64(Id);
-          encodeProductState(W, States[Id]);
-        }
+      // Frontier payloads; DFS stack entries carry their ids.
+      W.u64(Frontier.size());
+      for (const Pending &F : Frontier) {
+        if (Opts.Order == SearchOrder::DFS)
+          W.u64(F.Id);
+        encodeProductState(W, F.S);
       }
       if (Opts.RecordParents)
         for (const ParentEdge &E : Parents) {
@@ -1279,7 +1259,8 @@ private:
           W.u8(E.L.ValR);
           W.u8(E.L.ValW);
           W.u8(E.L.IsNA ? 1 : 0);
-          W.str(E.Text);
+          W.varu64(E.FromPc);
+          W.varu64(E.Collapsed);
         }
       std::string Err;
       if (ckpt::writeCheckpointFile(Opts.Resilience.CheckpointPath,
@@ -1329,7 +1310,7 @@ private:
         return false;
       }
       uint64_t N = R.u64();
-      Cursor = R.u64();
+      uint64_t Cursor = R.u64();
       ExpandedBase = R.u64();
       SecondsBase = R.f64();
       Res.Stats.NumTransitions = R.u64();
@@ -1358,7 +1339,6 @@ private:
       for (uint64_t I = 0; I != NumViolations && !R.fail(); ++I)
         Res.Violations.push_back(decodeViolation(R));
       Rung = static_cast<resilience::StorageRung>(RungByte);
-      ReleasePayloads = Rung != resilience::StorageRung::Exact;
       uint8_t Tag = R.u8();
       if (R.fail()) {
         RR.ResumeError = "truncated checkpoint payload";
@@ -1399,30 +1379,22 @@ private:
         RR.ResumeError = "corrupt checkpoint: unknown visited-set tag";
         return false;
       }
-      States.clear();
-      States.resize(N);
+      NumStored = N;
       uint64_t NumFrontier = R.u64();
-      if (Opts.Order == SearchOrder::BFS) {
-        if (R.fail() || NumFrontier != N - Cursor) {
-          RR.ResumeError = "corrupt checkpoint: frontier shape";
+      const bool Bfs = Opts.Order == SearchOrder::BFS;
+      if (R.fail() || (Bfs && (Cursor > N || NumFrontier != N - Cursor))) {
+        RR.ResumeError = "corrupt checkpoint: frontier shape";
+        return false;
+      }
+      for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
+        Pending F;
+        F.Id = Bfs ? Cursor + I : R.u64();
+        if (F.Id >= N || !decodeProductState(R, F.S)) {
+          RR.ResumeError = "corrupt checkpoint: frontier state";
           return false;
         }
-        for (uint64_t Id = Cursor; Id != N; ++Id)
-          if (!decodeProductState(R, States[Id])) {
-            RR.ResumeError = "corrupt checkpoint: frontier state";
-            return false;
-          }
-      } else {
-        for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
-          uint64_t Id = R.u64();
-          if (Id >= N || !decodeProductState(R, States[Id])) {
-            RR.ResumeError = "corrupt checkpoint: frontier state";
-            return false;
-          }
-          DfsStack.push_back(Id);
-        }
+        Frontier.push_back(std::move(F));
       }
-      LivePayloads = NumFrontier;
       if (Opts.RecordParents) {
         Parents.clear();
         Parents.reserve(N);
@@ -1438,9 +1410,24 @@ private:
           E.L.ValR = R.u8();
           E.L.ValW = R.u8();
           E.L.IsNA = R.u8() != 0;
-          E.Text = R.str();
-          Parents.push_back(std::move(E));
+          E.FromPc = static_cast<uint32_t>(R.varu64());
+          E.Collapsed = static_cast<uint16_t>(R.varu64());
+          // trace() indexes with these fields: edges point to earlier
+          // states, and local steps name a real instruction.
+          if (!R.fail() && I != 0 &&
+              (E.Parent >= I || E.Thread >= P.numThreads() ||
+               (!E.Internal && !E.IsAccess &&
+                E.FromPc >= P.Threads[E.Thread].Insts.size()))) {
+            RR.ResumeError = "corrupt checkpoint: trace edge";
+            return false;
+          }
+          Parents.push_back(E);
         }
+        for (const Violation &V : Res.Violations)
+          if (V.StateId >= N) {
+            RR.ResumeError = "corrupt checkpoint: violation state";
+            return false;
+          }
       }
       if (R.fail()) {
         RR.ResumeError = "truncated checkpoint payload";
@@ -1464,8 +1451,11 @@ private:
   uint64_t PorFullStates = 0; ///< POR-active states with no ample set.
   uint64_t PorSavedSteps = 0; ///< Pending steps skipped at ample states.
   uint64_t PorChainedStates = 0; ///< Chain intermediates never stored.
-  std::deque<ProductState> States;
-  std::vector<ParentEdge> Parents;
+  /// Discovered-but-unexpanded states, in discovery order: BFS pops the
+  /// front, DFS the back. No other payloads are kept.
+  std::deque<Pending> Frontier;
+  uint64_t NumStored = 0; ///< States interned so far; the next state's id.
+  std::vector<ParentEdge> Parents; ///< Trace edges, indexed by state id.
   /// Raw visited map (CompressVisited off and no bitstate hashing).
   std::unordered_map<std::string, uint64_t, StateKeyHash> Visited;
   /// Compressed visited set (engaged when CompressVisited is on).
@@ -1475,17 +1465,13 @@ private:
   std::vector<uint32_t> SlotOrder; ///< Emission index → tuple slot.
   uint64_t RawVisitedBytes = 0;   ///< Raw-key byte accounting.
   std::vector<uint64_t> Bitstate; ///< Bitstate-hashing visited bits.
-  std::vector<uint64_t> DfsStack;
   uint64_t PubTransitions = 0; ///< Progress: last published transitions.
   uint64_t PubDedupHits = 0;   ///< Progress: last published dedup hits.
   uint64_t PubCount = 0;       ///< Progress: pushes so far.
 
   // Resilience state (see the helper block above).
   resilience::StorageRung Rung = resilience::StorageRung::Exact;
-  bool ReleasePayloads = false; ///< NoPayload rung: drop after expansion.
-  uint64_t Cursor = 0;          ///< BFS: next state to expand (resumable).
-  uint64_t LivePayloads = 0;    ///< States still holding their payload.
-  uint64_t PayloadUnit = 0;     ///< Estimated bytes per live payload.
+  uint64_t PayloadUnit = 0;     ///< Estimated bytes per frontier payload.
   uint64_t CfgHash = 0;         ///< Checkpoint compatibility hash.
   uint64_t GovMask = 255;      ///< Expansions between governor ticks - 1.
   uint64_t NextCkptExpansions = 0; ///< Count-based checkpoint trigger.

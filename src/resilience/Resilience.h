@@ -9,13 +9,13 @@
 /// The degradation ladder has three rungs, walked one step per memory
 /// pressure event:
 ///
-///   Exact     — full visited set (collapse-compressed or raw), payloads kept
-///               per the usual engine policy. Verdicts are exact: a clean
-///               sweep proves Robust.
-///   NoPayload — still an exact visited set, but expanded states' payloads
-///               are released as soon as they have been explored. State
-///               coverage is still complete, so Robust is still claimable;
-///               only the ability to print stored states is lost.
+///   Exact     — full visited set (collapse-compressed or raw); payloads
+///               are kept for frontier states only. Verdicts are exact: a
+///               clean sweep proves Robust.
+///   NoPayload — still an exact visited set. Neither engine keeps
+///               expanded states' payloads, so this rung sheds nothing and
+///               only records the pressure event. Robust is still
+///               claimable.
 ///   Bitstate  — the visited set becomes a double-bit supertrace hash array.
 ///               Hash collisions silently merge distinct states, so coverage
 ///               is no longer guaranteed: a clean sweep on this rung can

@@ -9,8 +9,6 @@
 #include "obs/Telemetry.h"
 #include "parexplore/ParallelExplorer.h"
 
-#include <chrono>
-
 using namespace rocker;
 
 namespace {
@@ -68,9 +66,24 @@ OracleResult rocker::checkGraphRobustnessOracle(const Program &P,
     return std::nullopt;
   };
 
+  // Every reached ⟨q,G⟩ must be reachable in PSCG, i.e. G must be
+  // SC-consistent (Lemma A.11). Both engines check each graph as it is
+  // discovered; neither keeps expanded states to sweep afterwards.
+  auto StateHook = [&](const auto &S) -> std::optional<Violation> {
+    obs::Span Sp(obs::Phase::OracleSweep);
+    obs::add(obs::Ctr::SweptStates);
+    if (isSCConsistent(S.M))
+      return std::nullopt;
+    Violation V;
+    V.K = Violation::Kind::MemoryViolation;
+    V.Detail = "reachable RAG graph is not SC-consistent:\n" +
+               S.M.toString(&P);
+    return V;
+  };
+
+  OracleResult Res;
+  std::vector<Violation> Violations;
   if (Threads > 1) {
-    // Parallel path: check SC-consistency of each graph as it is
-    // discovered (the engine keeps no state store to sweep afterwards).
     ParExploreOptions PE;
     PE.Threads = Threads;
     PE.MaxStates = MaxStates;
@@ -79,69 +92,24 @@ OracleResult rocker::checkGraphRobustnessOracle(const Program &P,
     PE.RecordTrace = false;
     PE.ReplayOnViolation = false; // Verdict + detail suffice here.
     ParallelExplorer<RAGraphMem> Ex(P, Mem, PE);
-    ParExploreResult R = Ex.runWithHooks(
-        AccessHook, [&](const auto &S) -> std::optional<Violation> {
-          obs::Span Sp(obs::Phase::OracleSweep);
-          obs::add(obs::Ctr::SweptStates);
-          if (isSCConsistent(S.M))
-            return std::nullopt;
-          Violation V;
-          V.K = Violation::Kind::MemoryViolation;
-          V.Detail = "reachable RAG graph is not SC-consistent:\n" +
-                     S.M.toString(&P);
-          return V;
-        });
-    OracleResult Res;
-    Res.Complete = !R.Stats.Truncated;
+    ParExploreResult R = Ex.runWithHooks(AccessHook, StateHook);
     Res.Stats = std::move(R.Stats);
-    Res.Robust = R.Violations.empty();
-    if (!Res.Robust)
-      Res.Detail = R.Violations.front().Detail;
-    return Res;
+    Violations = std::move(R.Violations);
+  } else {
+    ExploreOptions EO;
+    EO.MaxStates = MaxStates;
+    EO.RecordParents = false;
+    EO.StopOnViolation = true;
+    EO.CheckAssertions = false;
+    ProductExplorer<RAGraphMem> Ex(P, Mem, EO);
+    ExploreResult R = Ex.runWithHooks(AccessHook, StateHook);
+    Res.Stats = std::move(R.Stats);
+    Violations = std::move(R.Violations);
   }
-
-  ExploreOptions EO;
-  EO.MaxStates = MaxStates;
-  EO.RecordParents = false;
-  EO.StopOnViolation = true;
-  EO.CheckAssertions = false;
-
-  ProductExplorer<RAGraphMem> Ex(P, Mem, EO);
-  // Hook: every pending access lets us check the RAG+NA ⊥ transition; the
-  // SC-consistency of every *reached* graph is checked by the sweep below
-  // (every reached ⟨q,G⟩ must be reachable in PSCG, i.e. G must be
-  // SC-consistent; Lemma A.11).
-  auto SweepStart = std::chrono::steady_clock::now();
-  ExploreResult R = Ex.runWithHook(AccessHook);
-
-  OracleResult Res;
-  Res.Complete = !R.Stats.Truncated;
-  Res.Stats = R.Stats;
-  if (!R.Violations.empty()) {
-    Res.Robust = false;
-    Res.Detail = R.Violations.front().Detail;
-    return Res;
-  }
-  // Sweep all stored graphs for SC-consistency. The sweep is part of the
-  // verification, so its time counts toward the engine-reported Seconds.
-  Res.Robust = true;
-  {
-    obs::Span Sp(obs::Phase::OracleSweep);
-    uint64_t Swept = 0;
-    for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-      ++Swept;
-      if (!isSCConsistent(Ex.state(Id).M)) {
-        Res.Robust = false;
-        Res.Detail = "reachable RAG graph is not SC-consistent:\n" +
-                     Ex.state(Id).M.toString(&P);
-        break;
-      }
-    }
-    obs::add(obs::Ctr::SweptStates, Swept);
-  }
-  Res.Stats.Seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - SweepStart)
-                          .count();
+  Res.Complete = !Res.Stats.Truncated;
+  Res.Robust = Violations.empty();
+  if (!Res.Robust)
+    Res.Detail = Violations.front().Detail;
   return Res;
 }
 

@@ -222,7 +222,9 @@ RockerReport rocker::exploreSC(const Program &P, const RockerOptions &Opts) {
   Rep.Approximate = R.Approximate;
   Rep.Stats = R.Stats;
   Rep.Violations = R.Violations;
-  if (!R.Violations.empty())
+  if (!R.Violations.empty()) {
     Rep.FirstViolationText = Ex.report(R.Violations.front());
+    Rep.FirstViolationTrace = Ex.trace(R.Violations.front());
+  }
   return Rep;
 }

@@ -694,8 +694,8 @@ public:
   uint64_t rawBytes() const { return RawBytes; }
 
   /// Checkpoint support: dumps arenas + tree tables natively (no
-  /// re-serialization of states — the NoPayload rung has already dropped
-  /// the payloads this would need, and a native dump is far smaller).
+  /// re-serialization of states — expanded states keep no payloads to
+  /// re-serialize, and a native dump is far smaller).
   void save(BinWriter &W) const {
     W.u64(RawBytes);
     for (const detail::ByteArena &S : Slots)

@@ -7,10 +7,12 @@
 #include "explore/Explorer.h"
 #include "litmus/Corpus.h"
 #include "rocker/Oracles.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 using namespace rocker;
+using rocker::test::forEachReachableState;
 
 namespace {
 
@@ -23,10 +25,8 @@ bool outcomeReachable(const Program &P, const MemSys &Mem,
   EO.RecordParents = false;
   EO.StopOnViolation = false;
   EO.CheckAssertions = false;
-  ProductExplorer<MemSys> Ex(P, Mem, EO);
-  Ex.run();
-  for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-    const auto &S = Ex.state(Id);
+  bool Found = false;
+  forEachReachableState(P, Mem, EO, [&](const auto &S) {
     bool Match = true;
     for (unsigned T = 0; T != P.numThreads() && Match; ++T) {
       if (S.Threads[T].Pc != P.Threads[T].Insts.size())
@@ -36,9 +36,9 @@ bool outcomeReachable(const Program &P, const MemSys &Mem,
         Match = false;
     }
     if (Match)
-      return true;
-  }
-  return false;
+      Found = true;
+  });
+  return Found;
 }
 
 const char *SBSrc = R"(
@@ -140,18 +140,15 @@ TEST(RAMachine, ForbidsMPStaleRead) {
   RAMachine RA(P);
   ExploreOptions EO;
   EO.RecordParents = false;
-  ProductExplorer<RAMachine> Ex(P, RA, EO);
-  Ex.run();
   bool SawStale = false, SawBoth = false, SawNone = false;
-  for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-    const auto &S = Ex.state(Id);
+  forEachReachableState(P, RA, EO, [&](const auto &S) {
     if (S.Threads[1].Pc != P.Threads[1].Insts.size())
-      continue;
+      return;
     Val A = S.Threads[1].Regs[0], B = S.Threads[1].Regs[1];
     SawStale |= A == 1 && B == 0;
     SawBoth |= A == 1 && B == 1;
     SawNone |= A == 0 && B == 0;
-  }
+  });
   EXPECT_FALSE(SawStale); // The message-passing guarantee.
   EXPECT_TRUE(SawBoth);
   EXPECT_TRUE(SawNone);
@@ -168,33 +165,27 @@ TEST(RAMachine, AllowsIRIW) {
   ExploreOptions EO;
   EO.RecordParents = false;
   RAMachine RA(P);
-  ProductExplorer<RAMachine> Ex(P, RA, EO);
-  Ex.run();
   bool Found = false;
-  for (uint64_t Id = 0; Id != Ex.numStates() && !Found; ++Id) {
-    const auto &S = Ex.state(Id);
+  forEachReachableState(P, RA, EO, [&](const auto &S) {
     bool AllDone = true;
     for (unsigned T = 0; T != 4; ++T)
       AllDone &= S.Threads[T].Pc == P.Threads[T].Insts.size();
     if (AllDone && S.Threads[1].Regs[0] == 1 && S.Threads[1].Regs[1] == 0 &&
         S.Threads[2].Regs[0] == 1 && S.Threads[2].Regs[1] == 0)
       Found = true;
-  }
+  });
   EXPECT_TRUE(Found);
 
   TSOMachine TSO(P);
-  ProductExplorer<TSOMachine> ExT(P, TSO, EO);
-  ExT.run();
   bool FoundTso = false;
-  for (uint64_t Id = 0; Id != ExT.numStates() && !FoundTso; ++Id) {
-    const auto &S = ExT.state(Id);
+  forEachReachableState(P, TSO, EO, [&](const auto &S) {
     bool AllDone = true;
     for (unsigned T = 0; T != 4; ++T)
       AllDone &= S.Threads[T].Pc == P.Threads[T].Insts.size();
     if (AllDone && S.Threads[1].Regs[0] == 1 && S.Threads[1].Regs[1] == 0 &&
         S.Threads[2].Regs[0] == 1 && S.Threads[2].Regs[1] == 0)
       FoundTso = true;
-  }
+  });
   EXPECT_FALSE(FoundTso); // TSO is multi-copy atomic.
 }
 
@@ -231,15 +222,12 @@ thread t1
   ExploreOptions EO;
   EO.RecordParents = false;
   RAMachine RA(P);
-  ProductExplorer<RAMachine> Ex(P, RA, EO);
-  Ex.run();
   bool Found = false;
-  for (uint64_t Id = 0; Id != Ex.numStates() && !Found; ++Id) {
-    const auto &S = Ex.state(Id);
+  forEachReachableState(P, RA, EO, [&](const auto &S) {
     if (S.Threads[0].Pc == 3 && S.Threads[1].Pc == 3 &&
         S.Threads[0].Regs[1] == 0 && S.Threads[1].Regs[1] == 0)
       Found = true;
-  }
+  });
   EXPECT_FALSE(Found);
 
   // ... while FADDs to two different locations do not (Example 3.6's
@@ -257,15 +245,12 @@ thread t1
   b := x
 )");
   RAMachine RA2(P2);
-  ProductExplorer<RAMachine> Ex2(P2, RA2, EO);
-  Ex2.run();
   Found = false;
-  for (uint64_t Id = 0; Id != Ex2.numStates() && !Found; ++Id) {
-    const auto &S = Ex2.state(Id);
+  forEachReachableState(P2, RA2, EO, [&](const auto &S) {
     if (S.Threads[0].Pc == 3 && S.Threads[1].Pc == 3 &&
         S.Threads[0].Regs[1] == 0 && S.Threads[1].Regs[1] == 0)
       Found = true;
-  }
+  });
   EXPECT_TRUE(Found);
 }
 
@@ -321,15 +306,12 @@ thread t1
   TSOMachine TSO(P);
   ExploreOptions EO;
   EO.RecordParents = false;
-  ProductExplorer<TSOMachine> Ex(P, TSO, EO);
-  Ex.run();
   bool SawWeak = false;
-  for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-    const auto &S = Ex.state(Id);
+  forEachReachableState(P, TSO, EO, [&](const auto &S) {
     if (S.Threads[0].Pc == 3 && S.Threads[1].Pc == 3 &&
         S.Threads[0].Regs[1] == 0 && S.Threads[1].Regs[1] == 0)
       SawWeak = true;
-  }
+  });
   EXPECT_FALSE(SawWeak);
 }
 

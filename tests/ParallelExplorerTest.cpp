@@ -118,6 +118,30 @@ TEST(ParallelExplorer, ScEquivalentOnFullCorpus) {
   EXPECT_GT(Compared, 60u);
 }
 
+TEST(ParallelExplorer, ScTraceMatchesSequentialOnAssertingProgram) {
+  // dcl-broken fails its assertion under plain SC. The sequential engine
+  // must return the same first-violation trace as the 4-thread engine
+  // (whose replay runs the sequential engine), not just the same text.
+  Program P = findCorpusEntry("dcl-broken").parse();
+  RockerOptions O;
+  RockerReport Seq = exploreSC(P, O);
+  O.Threads = 4;
+  RockerReport Par = exploreSC(P, O);
+  ASSERT_FALSE(Seq.Robust);
+  ASSERT_FALSE(Par.Robust);
+  ASSERT_FALSE(Seq.FirstViolationTrace.empty());
+  EXPECT_EQ(Seq.FirstViolationText, Par.FirstViolationText);
+  ASSERT_EQ(Seq.FirstViolationTrace.size(), Par.FirstViolationTrace.size());
+  for (size_t I = 0; I != Seq.FirstViolationTrace.size(); ++I) {
+    const TraceStep &A = Seq.FirstViolationTrace[I];
+    const TraceStep &B = Par.FirstViolationTrace[I];
+    EXPECT_EQ(A.Thread, B.Thread) << "step " << I;
+    EXPECT_EQ(A.Internal, B.Internal) << "step " << I;
+    EXPECT_EQ(A.IsAccess, B.IsAccess) << "step " << I;
+    EXPECT_EQ(A.Text, B.Text) << "step " << I;
+  }
+}
+
 TEST(ParallelExplorer, TsoEquivalentOnFullCorpus) {
   unsigned Compared = 0;
   for (const auto &[Name, P] : loadCorpusDir()) {

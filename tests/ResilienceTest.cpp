@@ -31,10 +31,12 @@
 #include "resilience/Resilience.h"
 #include "rocker/RobustnessChecker.h"
 #include "support/FaultInject.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -387,6 +389,80 @@ TEST(Resilience, StaleAndCrossEngineResumesAreRejected) {
   RockerOptions Par = baseOpts(4);
   Par.Resilience.ResumePath = Ckpt.Path;
   ExpectRejected(P, Par, "cross-engine");
+}
+
+TEST(Resilience, VersionOneCheckpointIsRejected) {
+  // Version 1 stored rendered step text in the sequential trace edges;
+  // version 2 stores (pc, collapse count). An old file must fail the
+  // container's version check before any payload byte is decoded.
+  Program P = findCorpusEntry("peterson-ra").parse();
+  for (unsigned Threads : {1u, 4u}) {
+    std::string What = "threads=" + std::to_string(Threads);
+    ScopedFile Ckpt(tmpPath("v1-" + std::to_string(Threads)));
+    RockerOptions Mid = baseOpts(Threads);
+    Mid.MaxStates = 100;
+    Mid.Resilience.CheckpointPath = Ckpt.Path;
+    ASSERT_FALSE(checkRobustness(P, Mid).Complete) << What;
+    ASSERT_TRUE(fs::exists(Ckpt.Path)) << What;
+    {
+      // The u32 version follows the u32 magic, little-endian.
+      std::fstream Fix(Ckpt.Path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+      Fix.seekp(4);
+      const char V1[4] = {1, 0, 0, 0};
+      Fix.write(V1, sizeof(V1));
+    }
+    RockerOptions RO = baseOpts(Threads);
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError,
+              "unsupported checkpoint format version 1")
+        << What;
+    EXPECT_FALSE(R.Stats.Resilience.Resumed) << What;
+    EXPECT_FALSE(R.Complete) << What;
+    EXPECT_EQ(R.Stats.NumStates, 0u) << What;
+  }
+}
+
+TEST(Resilience, OutOfRangeTraceEdgeIsRejected) {
+  // Trace edges are rendered from (thread, pc) on demand, so a restored
+  // edge naming an instruction the program does not have must be
+  // rejected at resume time rather than indexed when a trace prints.
+  // The payload ends with the last state's edge; with pc and collapse
+  // count below 128 its last nine bytes are thread, flags, the five
+  // label bytes, pc, collapse count.
+  Program P = findCorpusEntry("dekker-sc").parse();
+  ScopedFile Ckpt(tmpPath("bad-edge"));
+  RockerOptions Mid = baseOpts(1);
+  Mid.StopOnViolation = false;
+  Mid.MaxStates = 40;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+
+  std::string Data;
+  {
+    std::ifstream In(Ckpt.Path, std::ios::binary);
+    Data.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  const size_t HeaderBytes = 32; // magic, version, config, length, hash
+  ASSERT_GT(Data.size(), HeaderBytes + 9);
+  Data[Data.size() - 8] = 0;   // Flags: a local step...
+  Data[Data.size() - 2] = 127; // ...at a pc past every thread's end.
+  uint64_t Hash =
+      hashBytes(reinterpret_cast<const uint8_t *>(Data.data()) + HeaderBytes,
+                Data.size() - HeaderBytes);
+  std::memcpy(&Data[24], &Hash, sizeof(Hash));
+  {
+    std::ofstream Out(Ckpt.Path, std::ios::binary | std::ios::trunc);
+    Out << Data;
+  }
+
+  RockerOptions RO = baseOpts(1);
+  RO.StopOnViolation = false;
+  RO.Resilience.ResumePath = Ckpt.Path;
+  RockerReport R = checkRobustness(P, RO);
+  EXPECT_EQ(R.Stats.Resilience.ResumeError, "corrupt checkpoint: trace edge");
+  EXPECT_FALSE(R.Complete);
 }
 
 TEST(Resilience, CorruptCheckpointIsRejected) {

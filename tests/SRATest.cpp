@@ -13,6 +13,7 @@
 #include "lang/Parser.h"
 #include "memory/SCMemory.h"
 #include "memory/RAMachine.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -25,17 +26,15 @@ template <typename MemSys, typename Pred>
 bool finalStateReachable(const Program &P, const MemSys &Mem, Pred Ok) {
   ExploreOptions EO;
   EO.RecordParents = false;
-  ProductExplorer<MemSys> Ex(P, Mem, EO);
-  Ex.run();
-  for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-    const auto &S = Ex.state(Id);
+  bool Found = false;
+  test::forEachReachableState(P, Mem, EO, [&](const auto &S) {
     bool Done = true;
     for (unsigned T = 0; T != P.numThreads(); ++T)
       Done &= S.Threads[T].Pc == P.Threads[T].Insts.size();
     if (Done && Ok(S))
-      return true;
-  }
-  return false;
+      Found = true;
+  });
+  return Found;
 }
 
 } // namespace

@@ -9,11 +9,30 @@
 #ifndef ROCKER_TESTS_TESTHELPERS_H
 #define ROCKER_TESTS_TESTHELPERS_H
 
+#include "explore/Explorer.h"
 #include "lang/Program.h"
 
+#include <optional>
 #include <random>
 
 namespace rocker::test {
+
+/// Runs a sequential exploration and calls \p Visit once on every stored
+/// (reachable) product state, through the engine's state hook.
+template <typename MemSys, typename Fn>
+ExploreResult forEachReachableState(const Program &P, const MemSys &Mem,
+                                    const ExploreOptions &EO, Fn Visit) {
+  ProductExplorer<MemSys> Ex(P, Mem, EO);
+  return Ex.runWithHooks(
+      [](const typename MemSys::State &, ThreadId, uint32_t,
+         const MemAccess &) -> std::optional<Violation> {
+        return std::nullopt;
+      },
+      [&](const auto &S) -> std::optional<Violation> {
+        Visit(S);
+        return std::nullopt;
+      });
+}
 
 struct RandomProgramOptions {
   unsigned MaxThreads = 3;

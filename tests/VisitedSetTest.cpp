@@ -40,6 +40,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 
 using namespace rocker;
 
@@ -155,38 +156,50 @@ TEST(PcWidth, StatesAboveBit16DoNotAliasParallel) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bitstate memory release (satellite bugfix)
+// Frontier-only payload storage
 //===----------------------------------------------------------------------===//
 
-TEST(Bitstate, ReleasesExpandedStatePayloads) {
+TEST(FrontierStorage, NoPayloadOutlivesItsExpansion) {
+  // The sequential engine keeps a state's payload only until it is
+  // expanded, in every visited-set mode and search order: a complete run
+  // ends with an empty frontier, and the state hook has seen every
+  // stored state exactly once.
   Program P = findCorpusEntry("peterson-ra").parse();
   SCMemory Mem(P);
-  ExploreOptions EO;
-  EO.BitstateLog2 = 20;
-  EO.RecordParents = false;
-  EO.UsePor = false; // Keep the full state count the release sweep expects.
-  ProductExplorer<SCMemory> Ex(P, Mem, EO);
-  ExploreResult R = Ex.run();
-  ASSERT_GT(R.Stats.NumStates, 100u);
-  // Every expanded state's payload was replaced by an empty ProductState;
-  // with BFS and no violation, that is every state.
-  for (uint64_t Id = 0; Id != Ex.numStates(); ++Id)
-    EXPECT_TRUE(Ex.state(Id).Threads.empty()) << "state " << Id;
-}
-
-TEST(Bitstate, StillStoresPayloadsInExactModes) {
-  // The release is bitstate-only: exact runs keep payloads, which the
-  // graph oracle's post-run SC-consistency sweep relies on.
-  Program P = findCorpusEntry("SB").parse();
-  SCMemory Mem(P);
-  for (bool Compress : {true, false}) {
-    ExploreOptions EO;
-    EO.RecordParents = false;
-    EO.CompressVisited = Compress;
-    ProductExplorer<SCMemory> Ex(P, Mem, EO);
-    Ex.run();
-    for (uint64_t Id = 0; Id != Ex.numStates(); ++Id)
-      EXPECT_FALSE(Ex.state(Id).Threads.empty());
+  struct Mode {
+    const char *Name;
+    bool Compress;
+    unsigned BitstateLog2;
+  };
+  for (const Mode &M : {Mode{"exact-compressed", true, 0},
+                        Mode{"exact-raw", false, 0},
+                        Mode{"bitstate", false, 20}}) {
+    for (SearchOrder Order : {SearchOrder::BFS, SearchOrder::DFS}) {
+      std::string What = std::string(M.Name) +
+                         (Order == SearchOrder::BFS ? " bfs" : " dfs");
+      ExploreOptions EO;
+      EO.Order = Order;
+      EO.CompressVisited = M.Compress;
+      EO.BitstateLog2 = M.BitstateLog2;
+      EO.RecordParents = false;
+      EO.UsePor = false; // Keep the full state count.
+      ProductExplorer<SCMemory> Ex(P, Mem, EO);
+      std::unordered_set<std::string> Seen;
+      uint64_t Calls = 0;
+      ExploreResult R = Ex.runWithHooks(
+          [](const SCMemory::State &, ThreadId, uint32_t, const MemAccess &)
+              -> std::optional<Violation> { return std::nullopt; },
+          [&](const auto &S) -> std::optional<Violation> {
+            ++Calls;
+            Seen.insert(productStateKey(Mem, S.Threads, S.M));
+            return std::nullopt;
+          });
+      ASSERT_FALSE(R.Stats.Truncated) << What;
+      ASSERT_GT(R.Stats.NumStates, 100u) << What;
+      EXPECT_EQ(Ex.frontierSize(), 0u) << What;
+      EXPECT_EQ(Calls, R.Stats.NumStates) << What;
+      EXPECT_EQ(Seen.size(), R.Stats.NumStates) << What;
+    }
   }
 }
 
