@@ -233,6 +233,46 @@ TEST(Resilience, TruncateResumeMatchesUninterruptedParallel4) {
     truncateThenResume(P, Ref, 4, Cut, /*StopOnViolation=*/true);
 }
 
+// One worker makes the parallel engine's cut deterministic: a budget stop
+// that lands mid-expansion must still finish that state's successors,
+// because the state has already left its deque and the truncation
+// checkpoint carries only deque contents. Sweeping the cut over the whole
+// run hits stops in every thread's position of the expansion loop.
+TEST(Resilience, TruncateResumeMatchesUninterruptedParallel1) {
+  for (const char *Name : {"peterson-ra", "dekker-sc", "lamport2-ra"}) {
+    Program P = findCorpusEntry(Name).parse();
+    SCMemory Mem(P);
+    for (bool Trace : {true, false}) {
+      ParExploreOptions Base;
+      Base.Threads = 1;
+      Base.RecordTrace = Trace;
+      ParExploreResult Ref = ParallelExplorer<SCMemory>(P, Mem, Base).run();
+      ASSERT_FALSE(Ref.Stats.Truncated) << Name;
+      uint64_t N = Ref.Stats.NumStates;
+      for (uint64_t Cut = 3; Cut < N; Cut += std::max<uint64_t>(1, N / 12)) {
+        std::string What = std::string(Name) + " trace=" +
+                           std::to_string(Trace) +
+                           " cut=" + std::to_string(Cut);
+        ScopedFile Ckpt(tmpPath("trunc-par1-" + std::to_string(Cut)));
+        ParExploreOptions Mid = Base;
+        Mid.MaxStates = Cut;
+        Mid.Resilience.CheckpointPath = Ckpt.Path;
+        ParExploreResult M = ParallelExplorer<SCMemory>(P, Mem, Mid).run();
+        ASSERT_TRUE(M.Stats.Truncated) << What;
+        ParExploreOptions Fin = Base;
+        Fin.Resilience.ResumePath = Ckpt.Path;
+        ParExploreResult R = ParallelExplorer<SCMemory>(P, Mem, Fin).run();
+        ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
+            << What << ": " << R.Stats.Resilience.ResumeError;
+        EXPECT_EQ(R.Stats.NumStates, N) << What;
+        EXPECT_EQ(R.Stats.NumTransitions, Ref.Stats.NumTransitions) << What;
+        EXPECT_EQ(R.Stats.NumDeadlockStates, Ref.Stats.NumDeadlockStates)
+            << What;
+      }
+    }
+  }
+}
+
 TEST(Resilience, ResumePreservesViolationsAcrossTheCut) {
   // Full sweep of a non-robust program: violations recorded before the
   // cut travel through the checkpoint, ones after the cut are found by
