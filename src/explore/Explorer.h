@@ -17,14 +17,16 @@
 ///       // Fn(ThreadId, State&&) for internal steps (e.g. TSO flushes)
 ///   void serialize(const State&, std::string&) const;
 ///
-/// The explorer performs: deduplication via a hashed visited set of
-/// serialized product states, optional parent tracking for counterexample
-/// traces, assertion checking, the Definition 6.1 data-race check on
-/// non-atomic locations, a per-access hook (used for the Theorem 5.3
-/// robustness conditions), a per-state hook that sees every newly
-/// interned state once (used by the graph oracle), and optional
-/// collection of reachable program-state projections (used by the
-/// state-robustness oracles).
+/// Each state is expanded by the shared core (explore/Expand.h):
+/// assertion checking, the Definition 6.1 data-race check on non-atomic
+/// locations, a per-access hook (used for the Theorem 5.3 robustness
+/// conditions), POR and ample-chain fast-forwarding. Around it this
+/// engine keeps the frontier and deduplication via a hashed visited set
+/// of serialized product states, optional parent tracking for
+/// counterexample traces, a per-state hook that sees every newly
+/// interned state once (used by the graph oracle), optional collection of
+/// reachable program-state projections (used by the state-robustness
+/// oracles), and the resilience governor.
 ///
 /// Full state payloads live only in the frontier (BFS queue or DFS
 /// stack) and are dropped once expanded: after that a state exists only
@@ -36,7 +38,7 @@
 #ifndef ROCKER_EXPLORE_EXPLORER_H
 #define ROCKER_EXPLORE_EXPLORER_H
 
-#include "explore/Por.h"
+#include "explore/Expand.h"
 #include "lang/Printer.h"
 #include "lang/Program.h"
 #include "lang/Step.h"
@@ -60,26 +62,6 @@
 #include <vector>
 
 namespace rocker {
-
-/// What went wrong (or was detected) in an explored state.
-struct Violation {
-  enum class Kind : uint8_t {
-    AssertFail,     ///< assert(e) evaluated to 0 (under SC).
-    Robustness,     ///< Theorem 5.3 condition failed (non-robust).
-    Race,           ///< Definition 6.1 racy state on a non-atomic location.
-    MemoryViolation ///< Subsystem-specific (e.g. RAG+NA ⊥ transition).
-  };
-  Kind K;
-  uint64_t StateId;
-  ThreadId Thread;
-  uint32_t Pc;
-  LocId Loc = 0;
-  /// For robustness: the witnessing readable-but-stale value (0xff when
-  /// the witness is a non-critical value tracked only disjunctively).
-  Val Witness = 0;
-  AccessType Type = AccessType::R;
-  std::string Detail;
-};
 
 /// One step of a counterexample trace.
 struct TraceStep {
@@ -261,14 +243,17 @@ template <typename MemSys> class ProductExplorer {
 public:
   using MemState = typename MemSys::State;
 
-  ProductExplorer(const Program &P, const MemSys &Mem, ExploreOptions Opts)
-      : P(P), Mem(Mem), Opts(Opts), Por(P) {}
+  using ProductState = typename ExpansionCore<MemSys>::ProductState;
 
-  /// A full product state.
-  struct ProductState {
-    std::vector<ThreadState> Threads;
-    MemState M;
-  };
+  ProductExplorer(const Program &P, const MemSys &Mem, ExploreOptions Opts)
+      : P(P), Mem(Mem), Opts(Opts),
+        Core(P, Mem,
+             {.CheckAssertions = Opts.CheckAssertions,
+              .CheckRaces = Opts.CheckRaces,
+              .StopOnViolation = Opts.StopOnViolation,
+              .CollapseLocalSteps = Opts.CollapseLocalSteps,
+              .UsePor = Opts.UsePor && !Opts.CollectProgramStates,
+              .FastForward = !Opts.RecordParents}) {}
 
   /// Runs the exploration with an access hook and a state hook. The state
   /// hook sees every newly interned state exactly once (including the
@@ -336,10 +321,14 @@ public:
         Res.Stats.Truncated = true;
     }
 
-    if (Ready && !RR.Resumed)
+    if (Ready && !RR.Resumed) {
       // The initial state fast-forwards too: state 0 is its chain
       // endpoint.
-      intern(fastForward(std::move(Init), 0, Res, Hook), Res, SHook);
+      auto Report = reporter(Res, 0);
+      intern(Core.fastForward(std::move(Init), Scratch, Hook, Report,
+                              countHop(Res)),
+             Res, SHook);
+    }
     Expanded = ExpandedBase;
     NextCkptExpansions =
         Expanded + Opts.Resilience.CheckpointEveryExpansions;
@@ -410,10 +399,7 @@ public:
     obs::add(obs::Ctr::DedupHits, Res.Stats.DedupHits);
     obs::add(obs::Ctr::VisitedProbes, Res.Stats.NumTransitions + 1);
     obs::add(obs::Ctr::VisitedInserts, Res.Stats.NumStates);
-    obs::add(obs::Ctr::AmpleHits, AmpleStates);
-    obs::add(obs::Ctr::PorFallbacks, PorFullStates);
-    obs::add(obs::Ctr::PorSavedSteps, PorSavedSteps);
-    obs::add(obs::Ctr::PorChainedStates, PorChainedStates);
+    Scratch.Por.flush();
     if (obs::traceActive()) {
       // Final counter sample: short runs (POR-chained or tiny programs)
       // can finish inside one progress interval, and traces should
@@ -619,355 +605,40 @@ private:
     Parents[Child] = E;
   }
 
-  /// The per-state checks of expand() — assertions, the access hook, the
-  /// Definition 6.1 race check — for a state skipped by ample-chain
-  /// fast-forwarding (see fastForward). \p Steps is inspectThread's
-  /// result for every thread; violations report \p Id, the stored state
-  /// whose expansion produced the chain. Returns false when a violation
-  /// was recorded and the run stops on violations.
-  template <typename AccessHook>
-  bool chainChecks(const ProductState &S,
-                   const std::vector<ThreadStep> &Steps, int Ample,
-                   uint64_t Id, ExploreResult &Res, AccessHook &Hook) {
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
+  /// Violation sink for the expansion core: violations found while
+  /// expanding state \p Id (or walking a chain out of it) report \p Id.
+  static auto reporter(ExploreResult &Res, uint64_t Id) {
+    return [&Res, Id](Violation &&V) {
+      V.StateId = Id;
+      Res.Violations.push_back(std::move(V));
     };
-    std::vector<NaAccess> NaAccesses;
-    for (unsigned T = 0; T != Steps.size(); ++T) {
-      const ThreadStep &Step = Steps[T];
-      switch (Step.K) {
-      case ThreadStep::Kind::Halted:
-        break;
-      case ThreadStep::Kind::Local:
-        if (static_cast<int>(T) != Ample)
-          ++PorSavedSteps; // The ample thread's step covers this state.
-        break;
-      case ThreadStep::Kind::AssertFail:
-        if (Opts.CheckAssertions) {
-          Violation V;
-          V.K = Violation::Kind::AssertFail;
-          V.StateId = Id; // Chain states report their stored origin.
-          V.Thread = static_cast<ThreadId>(T);
-          V.Pc = S.Threads[T].Pc;
-          V.Detail = "assertion failed: " +
-                     toString(P, static_cast<ThreadId>(T),
-                              P.Threads[T].Insts[V.Pc]);
-          Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return false;
-        }
-        break;
-      case ThreadStep::Kind::Access: {
-        const MemAccess &A = Step.A;
-        uint32_t Pc = S.Threads[T].Pc;
-        if (Opts.CheckRaces && A.IsNA)
-          NaAccesses.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
-                                        A.isWriteOnly(), Pc});
-        if (std::optional<Violation> V =
-                Hook(S.M, static_cast<ThreadId>(T), Pc, A)) {
-          V->StateId = Id;
-          V->Thread = static_cast<ThreadId>(T);
-          V->Pc = Pc;
-          Res.Violations.push_back(std::move(*V));
-          if (Opts.StopOnViolation)
-            return false;
-        }
-        if (static_cast<int>(T) != Ample)
-          ++PorSavedSteps; // Checked above; successors not generated.
-        break;
-      }
-      }
-    }
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
-          V.StateId = Id;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
-          Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return false;
-        }
-      }
-    }
-    return true;
   }
 
-  /// Ample-chain fast-forwarding: at an ample state the reduced graph is
-  /// locally a chain — porEligible guarantees the ample step has exactly
-  /// one successor — so in non-trace runs every state is walked to its
-  /// chain's endpoint (the first state with no ample thread) *before*
-  /// being interned, and ample states never enter the visited set at
-  /// all. The per-state checks run at every skipped state and every hop
-  /// counts as a transition, so verdicts, violation sets, and deadlock
-  /// counts are those of the uncompressed reduced graph. The walk
-  /// terminates because ample steps strictly increase the stepped
-  /// thread's pc, and the stored set — the initial chain endpoint plus
-  /// endpoints reached from fully-expanded states — is a pure function
-  /// of the program, so BFS, DFS, and the parallel engine agree on
-  /// state counts.
-  template <typename AccessHook>
-  ProductState fastForward(ProductState &&S, uint64_t Id,
-                           ExploreResult &Res, AccessHook &Hook) {
-    if (Opts.RecordParents) // Trace mode stores every reduced state so
-      return std::move(S);  // counterexample replay stays step-exact.
-    for (;;) {
-      if (!Opts.UsePor || Opts.CollectProgramStates || !Por.usable() ||
-          !memPorEligible(Mem, S.M))
-        return std::move(S);
-      // Own scratch: expand() is mid-iteration over StepsBuf when it
-      // calls fastForward, so the chain walk must not clobber it.
-      ChainSteps.clear();
-      for (unsigned T = 0; T != P.numThreads(); ++T)
-        ChainSteps.push_back(
-            inspectThread(P, static_cast<ThreadId>(T), S.Threads[T]));
-      int Ample = Por.selectAmple(ChainSteps, S.Threads,
-                                  Opts.CollapseLocalSteps);
-      if (Ample < 0)
-        return std::move(S);
-      if (!chainChecks(S, ChainSteps, Ample, Id, Res, Hook))
-        return std::move(S); // StopOnViolation: the run is over anyway.
-      ++AmpleStates;
-      ++PorChainedStates;
-      obs::traceInstant(obs::TraceInstant::FastForward, PorChainedStates);
-      const ThreadStep &Step = ChainSteps[Ample];
-      if (Step.K == ThreadStep::Kind::Local) {
-        S.Threads[Ample] = Step.Next;
-        if (Opts.CollapseLocalSteps) {
-          // The same bounded ε-chain walk as expand().
-          unsigned Collapsed = 1;
-          while (Collapsed < 4096) {
-            ThreadStep More = inspectThread(
-                P, static_cast<ThreadId>(Ample), S.Threads[Ample]);
-            if (More.K != ThreadStep::Kind::Local)
-              break;
-            S.Threads[Ample] = More.Next;
-            ++Collapsed;
-          }
-        }
-        ++Res.Stats.NumTransitions;
-        continue;
-      }
-      // Never-blocking ample access: porEligible guarantees exactly one
-      // successor; store S as-is (its expansion handles the ample set)
-      // should a subsystem ever break that contract.
-      std::optional<ProductState> Next;
-      unsigned Count = 0;
-      Mem.enumerate(S.M, static_cast<ThreadId>(Ample), Step.A,
-                    [&](const Label &L, MemState &&M2) {
-                      if (++Count != 1)
-                        return;
-                      ProductState N;
-                      N.Threads = S.Threads;
-                      N.Threads[Ample] =
-                          applyAccess(P, static_cast<ThreadId>(Ample),
-                                      S.Threads[Ample], Step.A, L);
-                      N.M = std::move(M2);
-                      Next = std::move(N);
-                    });
-      if (Count != 1)
-        return std::move(S);
-      ++Res.Stats.NumTransitions;
-      S = std::move(*Next);
-    }
+  /// Chain hops count as transitions.
+  static auto countHop(ExploreResult &Res) {
+    return [&Res](const ExpandStep &) { ++Res.Stats.NumTransitions; };
   }
 
   template <typename AccessHook, typename StateHook>
   void expand(uint64_t Id, const ProductState &S, ExploreResult &Res,
               AccessHook &Hook, StateHook &SHook) {
-    // Pending NA accesses for the Definition 6.1 race check.
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
+    auto Report = reporter(Res, Id);
+    auto Hop = countHop(Res);
+    auto AnyViolation = [&Res] { return !Res.Violations.empty(); };
+    auto Emit = [&](ProductState &&Next, const ExpandStep &E) {
+      ++Res.Stats.NumTransitions;
+      link(intern(Core.fastForward(std::move(Next), Scratch, Hook, Report,
+                                   Hop),
+                  Res, SHook),
+           ParentEdge{.Parent = Id,
+                      .FromPc = E.FromPc,
+                      .Collapsed = E.Collapsed,
+                      .Thread = E.Thread,
+                      .Internal = E.Internal,
+                      .IsAccess = E.A != nullptr,
+                      .L = E.L});
     };
-    std::vector<NaAccess> NaAccesses;
-    bool AnyStep = false;
-    bool AllHalted = true;
-
-    // Ample-set POR (explore/Por.h): when active and some thread's
-    // pending step is provably independent of everything the other
-    // threads can still do, only that thread's successors are generated
-    // below — the per-state checks (assertions, the access hook, the
-    // race check) still run for every thread. Selection is a pure
-    // function of the state, so every search order and engine reduces to
-    // the same state graph. In non-trace runs fastForward keeps ample
-    // states out of the visited set entirely, so this block fires only
-    // in trace mode (and on the contract-breach fallback).
-    int Ample = -1;
-    bool PorActive = Opts.UsePor && !Opts.CollectProgramStates &&
-                     Por.usable() && memPorEligible(Mem, S.M);
-    if (PorActive) {
-      StepsBuf.clear();
-      for (unsigned T = 0; T != P.numThreads(); ++T)
-        StepsBuf.push_back(inspectThread(P, static_cast<ThreadId>(T),
-                                         S.Threads[T]));
-      Ample = Por.selectAmple(StepsBuf, S.Threads, Opts.CollapseLocalSteps);
-      if (Ample >= 0)
-        ++AmpleStates;
-      else
-        ++PorFullStates;
-    }
-
-    for (unsigned T = 0; T != P.numThreads(); ++T) {
-      ThreadStep Step = PorActive
-                            ? StepsBuf[T]
-                            : inspectThread(P, static_cast<ThreadId>(T),
-                                            S.Threads[T]);
-      if (Step.K != ThreadStep::Kind::Halted)
-        AllHalted = false;
-      switch (Step.K) {
-      case ThreadStep::Kind::Halted:
-        break;
-      case ThreadStep::Kind::Local: {
-        if (Ample >= 0 && static_cast<int>(T) != Ample) {
-          ++PorSavedSteps; // The ample thread's step covers this state.
-          break;
-        }
-        ProductState Next;
-        Next.Threads = S.Threads;
-        Next.M = S.M;
-        Next.Threads[T] = Step.Next;
-        unsigned Collapsed = 1;
-        if (Opts.CollapseLocalSteps) {
-          // Follow the deterministic ε-chain to its end (bounded, in case
-          // of a local-only infinite loop such as `l: goto l`).
-          while (Collapsed < 4096) {
-            ThreadStep More = inspectThread(P, static_cast<ThreadId>(T),
-                                            Next.Threads[T]);
-            if (More.K != ThreadStep::Kind::Local)
-              break;
-            Next.Threads[T] = More.Next;
-            ++Collapsed;
-          }
-        }
-        ++Res.Stats.NumTransitions;
-        link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
-                    SHook),
-             ParentEdge{.Parent = Id,
-                        .FromPc = S.Threads[T].Pc,
-                        .Collapsed = static_cast<uint16_t>(Collapsed),
-                        .Thread = static_cast<ThreadId>(T)});
-        AnyStep = true;
-        break;
-      }
-      case ThreadStep::Kind::AssertFail:
-        if (Opts.CheckAssertions) {
-          Violation V;
-          V.K = Violation::Kind::AssertFail;
-          V.StateId = Id;
-          V.Thread = static_cast<ThreadId>(T);
-          V.Pc = S.Threads[T].Pc;
-          V.Detail = "assertion failed: " +
-                     toString(P, static_cast<ThreadId>(T),
-                              P.Threads[T].Insts[V.Pc]);
-          Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return;
-        }
-        break;
-      case ThreadStep::Kind::Access: {
-        const MemAccess A = Step.A;
-        uint32_t Pc = S.Threads[T].Pc;
-        if (Opts.CheckRaces && A.IsNA)
-          NaAccesses.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
-                                        A.isWriteOnly(), Pc});
-        if (std::optional<Violation> V =
-                Hook(S.M, static_cast<ThreadId>(T), Pc, A)) {
-          V->StateId = Id;
-          V->Thread = static_cast<ThreadId>(T);
-          V->Pc = Pc;
-          Res.Violations.push_back(std::move(*V));
-          if (Opts.StopOnViolation)
-            return;
-        }
-        if (Ample >= 0 && static_cast<int>(T) != Ample) {
-          ++PorSavedSteps; // Checked above; successors not generated.
-          break;
-        }
-        Mem.enumerate(
-            S.M, static_cast<ThreadId>(T), A,
-            [&](const Label &L, MemState &&M2) {
-              AnyStep = true;
-              ProductState Next;
-              Next.Threads = S.Threads;
-              Next.Threads[T] = applyAccess(P, static_cast<ThreadId>(T),
-                                            S.Threads[T], A, L);
-              Next.M = std::move(M2);
-              ++Res.Stats.NumTransitions;
-              link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
-                          SHook),
-                   ParentEdge{.Parent = Id,
-                              .Thread = static_cast<ThreadId>(T),
-                              .IsAccess = true,
-                              .L = L});
-            });
-        break;
-      }
-      }
-      // Chain walks can record violations mid-enumeration; stop
-      // generating siblings once the run is over.
-      if (Opts.StopOnViolation && !Res.Violations.empty())
-        return;
-    }
-
-    // Definition 6.1: racy iff two threads concurrently enable accesses to
-    // the same NA location, at least one writing.
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
-          V.StateId = Id;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
-          Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return;
-        }
-      }
-    }
-
-    // Memory-internal steps (e.g. TSO store-buffer flushes). porEligible
-    // asserts none are enabled at ample states, so the scan is skipped
-    // there (and the ample step's existence keeps AnyStep truthful).
-    if (Ample < 0)
-      Mem.enumerateInternal(S.M, [&](ThreadId T, MemState &&M2) {
-        AnyStep = true;
-        ProductState Next;
-        Next.Threads = S.Threads;
-        Next.M = std::move(M2);
-        ++Res.Stats.NumTransitions;
-        link(intern(fastForward(std::move(Next), Id, Res, Hook), Res,
-                    SHook),
-             ParentEdge{.Parent = Id, .Thread = T, .Internal = true});
-      });
-
-    if (!AnyStep && !AllHalted)
+    if (Core.expand(S, Scratch, Hook, Report, AnyViolation, Emit))
       ++Res.Stats.NumDeadlockStates;
   }
 
@@ -1202,10 +873,10 @@ private:
       W.u64(Res.Stats.DedupHits);
       W.u64(Res.Stats.NumDeadlockStates);
       W.u64(Res.Stats.PeakFrontier);
-      W.u64(AmpleStates);
-      W.u64(PorFullStates);
-      W.u64(PorSavedSteps);
-      W.u64(PorChainedStates);
+      W.u64(Scratch.Por.Ample);
+      W.u64(Scratch.Por.Full);
+      W.u64(Scratch.Por.Saved);
+      W.u64(Scratch.Por.Chained);
       // Resilience provenance, so a resumed run reports the full
       // degradation history rather than just its own.
       W.varu64(RR.Downgrades.size());
@@ -1317,10 +988,10 @@ private:
       Res.Stats.DedupHits = R.u64();
       Res.Stats.NumDeadlockStates = R.u64();
       Res.Stats.PeakFrontier = R.u64();
-      AmpleStates = R.u64();
-      PorFullStates = R.u64();
-      PorSavedSteps = R.u64();
-      PorChainedStates = R.u64();
+      Scratch.Por.Ample = R.u64();
+      Scratch.Por.Full = R.u64();
+      Scratch.Por.Saved = R.u64();
+      Scratch.Por.Chained = R.u64();
       uint64_t NumDowngrades = R.varu64();
       for (uint64_t I = 0; I != NumDowngrades && !R.fail(); ++I) {
         resilience::DowngradeEvent E;
@@ -1444,13 +1115,8 @@ private:
   const Program &P;
   const MemSys &Mem;
   ExploreOptions Opts;
-  PorAnalysis Por;                 ///< Ample-set analysis (explore/Por.h).
-  std::vector<ThreadStep> StepsBuf; ///< Scratch: per-thread steps.
-  std::vector<ThreadStep> ChainSteps; ///< Scratch: fastForward's walk.
-  uint64_t AmpleStates = 0;   ///< States expanded via an ample set.
-  uint64_t PorFullStates = 0; ///< POR-active states with no ample set.
-  uint64_t PorSavedSteps = 0; ///< Pending steps skipped at ample states.
-  uint64_t PorChainedStates = 0; ///< Chain intermediates never stored.
+  ExpansionCore<MemSys> Core; ///< Checks and successor generation.
+  ExpandScratch Scratch;      ///< The core's buffers and POR counters.
   /// Discovered-but-unexpanded states, in discovery order: BFS pops the
   /// front, DFS the back. No other payloads are kept.
   std::deque<Pending> Frontier;

@@ -111,7 +111,7 @@ class PorAnalysis {
 public:
   PorAnalysis() = default;
 
-  explicit PorAnalysis(const Program &P) : Prog(&P) {
+  explicit PorAnalysis(const Program &P) {
     if (P.numLocs() > 64) // Masks are uint64_t over locations.
       return;
     unsigned N = P.numThreads();
@@ -126,35 +126,20 @@ public:
   /// locations); the engines then never reduce.
   bool usable() const { return Usable; }
 
-  /// Deterministic single-thread ample-set selection: \p Steps holds
-  /// inspectThread's result for every thread of the state whose thread
-  /// states are \p Threads. Returns the lowest-indexed ample-eligible
-  /// thread, or -1 when none exists (full expansion). Pure in the state,
-  /// so every engine and search order reduces identically.
-  /// \p CollapseLocalSteps must match the engine's successor generation:
-  /// the ε-chain's *final* pc is what the proviso constrains.
+  /// Deterministic single-thread ample-set selection: \p Steps holds the
+  /// engine's step for every thread of the state whose thread states are
+  /// \p Threads. A Local step's Next must be the successor the engine
+  /// stores — the end of the ε-chain under CollapseLocalSteps (see
+  /// explore/Expand.h) — because its pc is the one the cycle proviso must
+  /// see increase. Returns the lowest-indexed ample-eligible thread, or -1
+  /// when none exists (full expansion). Pure in the state, so every engine
+  /// and search order reduces identically.
   int selectAmple(const std::vector<ThreadStep> &Steps,
-                  const std::vector<ThreadState> &Threads,
-                  bool CollapseLocalSteps) const {
+                  const std::vector<ThreadState> &Threads) const {
     for (unsigned T = 0; T != Steps.size(); ++T) {
       const ThreadStep &St = Steps[T];
       if (St.K == ThreadStep::Kind::Local) {
-        uint32_t FinalPc = St.Next.Pc;
-        if (CollapseLocalSteps) {
-          // Mirror the engines' bounded ε-chain walk exactly: the stored
-          // successor is the chain's end, so its pc is the one the cycle
-          // proviso must see increase.
-          ThreadState TS = St.Next;
-          for (unsigned Hops = 1; Hops != 4096; ++Hops) {
-            ThreadStep More =
-                inspectThread(*Prog, static_cast<ThreadId>(T), TS);
-            if (More.K != ThreadStep::Kind::Local)
-              break;
-            TS = More.Next;
-          }
-          FinalPc = TS.Pc;
-        }
-        if (FinalPc > Threads[T].Pc) // Cycle proviso: pc must increase.
+        if (St.Next.Pc > Threads[T].Pc) // Cycle proviso: pc must increase.
           return static_cast<int>(T);
         continue;
       }
@@ -252,7 +237,6 @@ private:
     }
   }
 
-  const Program *Prog = nullptr;
   /// Per thread, per pc: locations possibly read / written from pc on.
   std::vector<std::vector<uint64_t>> ReadAt;
   std::vector<std::vector<uint64_t>> WriteAt;

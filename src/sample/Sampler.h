@@ -45,8 +45,8 @@
 #ifndef ROCKER_SAMPLE_SAMPLER_H
 #define ROCKER_SAMPLE_SAMPLER_H
 
+#include "explore/Expand.h"
 #include "explore/Explorer.h"
-#include "explore/Por.h"
 #include "lang/Printer.h"
 #include "lang/Program.h"
 #include "lang/Step.h"
@@ -124,7 +124,12 @@ public:
   using MemState = typename MemSys::State;
 
   SampleEngine(const Program &P, const MemSys &Mem, SampleOptions Opts)
-      : P(P), Mem(Mem), Opts(Opts), Por(P) {
+      : P(P), Mem(Mem), Opts(Opts),
+        // A sample ends at the first violation it meets.
+        Core(P, Mem,
+             {.CheckAssertions = Opts.CheckAssertions,
+              .CheckRaces = Opts.CheckRaces,
+              .StopOnViolation = true}) {
     if (this->Opts.Workers == 0)
       this->Opts.Workers = 1;
   }
@@ -159,6 +164,7 @@ public:
       auto WStart = std::chrono::steady_clock::now();
       FinalStateSketch Local;
       std::vector<Choice> Choices;
+      StateScratch Scratch;
       WorkerTally &T = Tallies[W];
       uint64_t PubSteps = 0;
       while (!Stop.load(std::memory_order_relaxed)) {
@@ -183,8 +189,8 @@ public:
         if (I >= Opts.Samples)
           break;
         Choices.clear();
-        SampleOutcome O =
-            runSample(I, Hook, Opts.RecordTrace ? &Choices : nullptr);
+        SampleOutcome O = runSample(
+            I, Hook, Opts.RecordTrace ? &Choices : nullptr, Scratch);
         ++T.Samples;
         T.Steps += O.StepsExecuted;
         T.Deadlocks += O.Deadlock;
@@ -383,24 +389,20 @@ private:
 
   /// Executes sample \p Index: one monitored walk from the initial
   /// state, with the full per-state check battery before every step.
-  /// \p Record, when non-null, receives the schedule for replay.
+  /// \p Record, when non-null, receives the schedule for replay; \p X is
+  /// the calling worker's scratch.
   template <typename AccessHook>
   SampleOutcome runSample(uint64_t Index, AccessHook &Hook,
-                          std::vector<Choice> *Record) {
+                          std::vector<Choice> *Record, StateScratch &X) {
     SampleRng Rng = SampleRng::forSample(Opts.Seed, Index);
     SchedulePolicy Pol(Opts, Rng, P.numThreads());
     std::vector<ThreadState> Threads = initialThreads();
     MemState M = Mem.initial();
-    std::vector<ThreadStep> Steps(P.numThreads());
+    std::vector<ThreadStep> &Steps = X.Steps;
+    Steps.resize(P.numThreads());
     std::vector<std::pair<Label, MemState>> Succ;
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
-    };
-    std::vector<NaAccess> NaAccesses;
     SampleOutcome Out;
+    uint64_t Depth = 0;
 
     auto Finish = [&](bool Deadlock, bool Capped) {
       Out.Deadlock = Deadlock;
@@ -411,82 +413,32 @@ private:
           reinterpret_cast<const uint8_t *>(Key.data()), Key.size());
       return Out;
     };
-    auto Violated = [&](Violation V, uint64_t Depth) {
+    auto Report = [&](Violation &&V) {
       V.StateId = Depth; // For samples: the step index of the witness.
       Out.V = std::move(V);
       Out.Randomized = Pol.tookRandomStep();
-      return Out;
     };
 
-    for (uint64_t Depth = 0;; ++Depth) {
-      // Inspect every thread and run the exhaustive engines' per-state
-      // checks — assertions, the access hook (the Theorem 5.3 monitor
-      // conditions), the Definition 6.1 race check — so a sampled walk
-      // detects exactly what exploration would detect at these states.
+    for (;; ++Depth) {
+      // The exhaustive engines' per-state checks — assertions, the access
+      // hook (the Theorem 5.3 monitor conditions), the Definition 6.1
+      // race scan — so a sampled walk detects exactly what exploration
+      // would detect at these states.
       uint64_t CandMask = 0;
       bool AllHalted = true;
-      NaAccesses.clear();
+      X.Na.clear();
       for (unsigned T = 0; T != P.numThreads(); ++T) {
-        Steps[T] =
-            inspectThread(P, static_cast<ThreadId>(T), Threads[T]);
-        switch (Steps[T].K) {
-        case ThreadStep::Kind::Halted:
-          break;
-        case ThreadStep::Kind::Local:
-          AllHalted = false;
+        Steps[T] = inspectThread(P, static_cast<ThreadId>(T), Threads[T]);
+        if (Steps[T].K == ThreadStep::Kind::Halted)
+          continue;
+        AllHalted = false;
+        if (Core.checkThread(Threads, M, T, Steps[T], X.Na, Hook, Report))
+          return Out;
+        if (Steps[T].K != ThreadStep::Kind::AssertFail)
           CandMask |= static_cast<uint64_t>(1) << T;
-          break;
-        case ThreadStep::Kind::AssertFail:
-          AllHalted = false;
-          if (Opts.CheckAssertions) {
-            Violation V;
-            V.K = Violation::Kind::AssertFail;
-            V.Thread = static_cast<ThreadId>(T);
-            V.Pc = Threads[T].Pc;
-            V.Detail = "assertion failed: " +
-                       toString(P, static_cast<ThreadId>(T),
-                                P.Threads[T].Insts[V.Pc]);
-            return Violated(std::move(V), Depth);
-          }
-          break;
-        case ThreadStep::Kind::Access: {
-          AllHalted = false;
-          const MemAccess &A = Steps[T].A;
-          uint32_t Pc = Threads[T].Pc;
-          if (Opts.CheckRaces && A.IsNA)
-            NaAccesses.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
-                                          A.isWriteOnly(), Pc});
-          if (std::optional<Violation> V =
-                  Hook(M, static_cast<ThreadId>(T), Pc, A)) {
-            V->Thread = static_cast<ThreadId>(T);
-            V->Pc = Pc;
-            return Violated(std::move(*V), Depth);
-          }
-          CandMask |= static_cast<uint64_t>(1) << T;
-          break;
-        }
-        }
       }
-      if (Opts.CheckRaces) {
-        for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-          for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-            if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-              continue;
-            if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-              continue;
-            Violation V;
-            V.K = Violation::Kind::Race;
-            V.Thread = NaAccesses[I].T;
-            V.Pc = NaAccesses[I].Pc;
-            V.Loc = NaAccesses[I].Loc;
-            V.Detail = "data race on non-atomic '" +
-                       P.locName(NaAccesses[I].Loc) + "' between t" +
-                       std::to_string(NaAccesses[I].T) + " and t" +
-                       std::to_string(NaAccesses[J].T);
-            return Violated(std::move(V), Depth);
-          }
-        }
-      }
+      if (Core.raceScan(X.Na, Report))
+        return Out;
 
       if (AllHalted)
         return Finish(false, false);
@@ -498,9 +450,10 @@ private:
       // POR-diverse: take provably-commuting steps deterministically so
       // the schedule's randomness lands on the racy states only.
       int Ample = -1;
+      const PorAnalysis &Por = Core.por();
       if (Opts.Sched == SampleScheduler::PorDiverse && Por.usable() &&
           memPorEligible(Mem, M))
-        Ample = Por.selectAmple(Steps, Threads, false);
+        Ample = Por.selectAmple(Steps, Threads);
 
       // Pick and step. Picks that turn out blocked (wait/BCAS whose
       // expected value is absent) leave the candidate set and the pick
@@ -548,7 +501,7 @@ private:
   const Program &P;
   const MemSys &Mem;
   SampleOptions Opts;
-  PorAnalysis Por;
+  ExpansionCore<MemSys> Core; ///< The exact engines' check battery.
 };
 
 } // namespace rocker::sample
