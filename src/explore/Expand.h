@@ -44,6 +44,7 @@
 #include "lang/Step.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
+#include "support/BinCodec.h"
 
 #include <cstdint>
 #include <optional>
@@ -132,6 +133,18 @@ struct ExpandStep {
   uint16_t Collapsed = 0; ///< Local steps: ε-instructions folded in.
 };
 
+/// True when \p MemSys provides the fixed-length checkpoint codec
+/// (encodeState/decodeState) the resilience layer needs to serialize
+/// frontier payloads. Subsystems without it still run under memory/time
+/// budgets; --checkpoint/--resume are rejected for them.
+template <typename MemSys>
+concept HasStateCodec =
+    requires(const MemSys &M, const typename MemSys::State &S,
+             std::string &Out, BinReader &R, typename MemSys::State &Mut) {
+      M.encodeState(S, Out);
+      M.decodeState(R, Mut);
+    };
+
 template <typename MemSys> class ExpansionCore {
 public:
   using MemState = typename MemSys::State;
@@ -161,6 +174,26 @@ public:
       : P(P), Mem(Mem), Cfg(Cfg), Por(P) {}
 
   const PorAnalysis &por() const { return Por; }
+
+  /// Bytes one frontier payload holds, estimated once per run from \p S
+  /// (thread and memory state sizes are program-constant for every
+  /// subsystem here). The memory governor charges it per frontier state
+  /// against --mem-budget. The memory state counts at its checkpoint
+  /// codec length, i.e. every byte it stores, when the subsystem has the
+  /// codec, and at twice its serialization plus 32 bytes otherwise.
+  uint64_t payloadBytes(const ProductState &S) const {
+    uint64_t B = sizeof(ProductState);
+    for (const ThreadState &TS : S.Threads)
+      B += sizeof(ThreadState) + TS.Regs.capacity() * sizeof(TS.Regs[0]);
+    std::string MemBytes;
+    if constexpr (HasStateCodec<MemSys>) {
+      Mem.encodeState(S.M, MemBytes);
+      return B + MemBytes.size();
+    } else {
+      Mem.serialize(S.M, MemBytes);
+      return B + 2 * MemBytes.size() + 32;
+    }
+  }
 
   /// Checks thread \p T, whose step at the state (\p Threads, \p M) is
   /// \p Step: an assertion failure, or the access hook on a pending

@@ -224,18 +224,6 @@ inline Violation decodeViolation(BinReader &R) {
   return V;
 }
 
-/// True when \p MemSys provides the fixed-length checkpoint codec
-/// (encodeState/decodeState) the resilience layer needs to serialize
-/// frontier payloads. Subsystems without it still run under memory/time
-/// budgets; --checkpoint/--resume are rejected for them.
-template <typename MemSys>
-concept HasStateCodec =
-    requires(const MemSys &M, const typename MemSys::State &S,
-             std::string &Out, BinReader &R, typename MemSys::State &Mut) {
-      M.encodeState(S, Out);
-      M.decodeState(R, Mut);
-    };
-
 /// The product explorer. \p AccessHook is called for every pending access
 /// of every expanded state with (MemState, ThreadId, Pc, MemAccess) and
 /// may return a Violation-like payload via std::optional<Violation>.
@@ -295,7 +283,7 @@ public:
     for (const SequentialProgram &S : P.Threads)
       Init.Threads.push_back(ThreadState::initial(S));
     Init.M = Mem.initial();
-    PayloadUnit = estimatePayloadUnit(Init);
+    PayloadUnit = Core.payloadBytes(Init);
 
     bool Ready = true;
     if constexpr (HasCodec) {
@@ -659,20 +647,6 @@ private:
            std::chrono::duration<double>(
                std::chrono::steady_clock::now() - RunStart)
                .count();
-  }
-
-  /// Rough per-state payload footprint, estimated once from the initial
-  /// state (thread/memory state sizes are program-constant for every
-  /// subsystem here). Used to attribute frontier memory to the budget.
-  uint64_t estimatePayloadUnit(const ProductState &S) const {
-    uint64_t B = sizeof(ProductState) +
-                 S.Threads.size() * sizeof(ThreadState);
-    for (const ThreadState &TS : S.Threads)
-      B += TS.Regs.capacity();
-    std::string Tmp;
-    Mem.serialize(S.M, Tmp);
-    B += 2 * Tmp.size() + 32; // Subsystem state ≈ its serialization.
-    return B;
   }
 
   /// Bytes the governor charges against --mem-budget: the visited set

@@ -64,15 +64,13 @@ SCMState rocker::monitorStateFromGraph(const Program &P,
   ReachMatrix Hb = G.computeHb();
   ReachMatrix HbSc = computeHbSc(G);
 
-  SCMState S;
-  S.M.assign(NumLocs, 0);
+  SCMState S(NumThreads, NumLocs, Abstract); // Everything empty/0.
   for (unsigned X = 0; X != NumLocs; ++X)
     S.M[X] = G.event(G.moMax(static_cast<LocId>(X))).L.ValW;
 
   auto lastOf = [&](ThreadId T) { return G.threadLast(T); };
 
   // VSC.
-  S.VSC.assign(NumThreads, BitSet64());
   for (unsigned T = 0; T != NumThreads; ++T) {
     for (unsigned X : RaLocs) {
       EventId WMax = G.moMax(static_cast<LocId>(X));
@@ -86,8 +84,6 @@ SCMState rocker::monitorStateFromGraph(const Program &P,
   }
 
   // MSC and WSC.
-  S.MSC.assign(NumLocs, BitSet64());
-  S.WSC.assign(NumLocs, BitSet64());
   for (unsigned X : RaLocs) {
     for (unsigned Y : RaLocs) {
       EventId WMaxY = G.moMax(static_cast<LocId>(Y));
@@ -106,11 +102,6 @@ SCMState rocker::monitorStateFromGraph(const Program &P,
   }
 
   // V / VRMW / W / WRMW.
-  S.V.assign(NumThreads * NumLocs, BitSet64());
-  S.VRmw.assign(NumThreads * NumLocs, BitSet64());
-  S.W.assign(NumLocs * NumLocs, BitSet64());
-  S.WRmw.assign(NumLocs * NumLocs, BitSet64());
-
   for (unsigned X : RaLocs) {
     const std::vector<EventId> &M = G.mo(static_cast<LocId>(X));
     for (unsigned Pos = 0; Pos + 1 < M.size(); ++Pos) { // skip wmax
@@ -159,10 +150,6 @@ SCMState rocker::monitorStateFromGraph(const Program &P,
 
   // Disjunctive summaries of the non-critical values (Appendix C
   // interpretations): recompute the unmasked sets' non-critical parts.
-  S.CV.assign(NumThreads, BitSet64());
-  S.CVRmw.assign(NumThreads, BitSet64());
-  S.CW.assign(NumLocs, BitSet64());
-  S.CWRmw.assign(NumLocs, BitSet64());
   for (unsigned X : RaLocs) {
     const std::vector<EventId> &M = G.mo(static_cast<LocId>(X));
     for (unsigned Pos = 0; Pos + 1 < M.size(); ++Pos) {

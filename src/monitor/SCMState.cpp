@@ -9,36 +9,62 @@
 
 #include "monitor/SCMState.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 using namespace rocker;
 
 SCMonitor::SCMonitor(const Program &P, bool Abstract)
     : NumThreads(P.numThreads()), NumLocs(P.numLocs()), NumVals(P.NumVals),
       RaLocs(P.raLocs()), Abstract(Abstract),
-      Crit(computeCriticalValues(P)) {}
+      Crit(computeCriticalValues(P)), LocBytes((NumLocs + 7) / 8) {
+  // A value set takes ceil(|Val|/8) bytes. In abstract mode value sets
+  // only ever contain critical values; they are packed into
+  // ceil(|Val(P,y)|/8) bytes (this is the Section 5.1 metadata bound:
+  // 2(|Tid|+|Loc|)·Σ_x |Val(P,x)| bits instead of full domains), so
+  // locations without critical values take none. Packing goes through
+  // per-column, per-mask-byte tables, so one lookup per mask byte serves
+  // every value-domain width.
+  for (unsigned Y = 0; Y != NumLocs; ++Y) {
+    unsigned Bytes = ((Abstract ? Crit[Y].size() : NumVals) + 7) / 8;
+    if (Bytes)
+      ValCols.push_back(
+          {static_cast<LocId>(Y), static_cast<uint16_t>(ValRowBytes)});
+    ValRowBytes += Bytes;
+    if (Abstract && !Crit[Y].empty())
+      PackInBytes = std::max(
+          PackInBytes, 8 - unsigned(__builtin_clzll(Crit[Y].mask())) / 8);
+  }
+  if (Abstract) {
+    PackTab.assign(ValCols.size() * PackInBytes * 256, 0);
+    for (size_t C = 0; C != ValCols.size(); ++C) {
+      unsigned Rank = 0;
+      for (unsigned V : Crit[ValCols[C].Loc]) {
+        uint64_t *Tab = PackTab.data() + (C * PackInBytes + V / 8) * 256;
+        for (unsigned Byte = 0; Byte != 256; ++Byte)
+          if (Byte >> (V % 8) & 1)
+            Tab[Byte] |= uint64_t{1} << Rank;
+        ++Rank;
+      }
+    }
+  }
+  size_t SummaryBytes = Abstract ? 2 * LocBytes : 0;
+  GlobalBytes = NumLocs + 2 * size_t(NumLocs) * LocBytes +
+                2 * NumLocs * ValRowBytes + NumLocs * SummaryBytes;
+  ThreadBytes = LocBytes + 2 * ValRowBytes + SummaryBytes;
+}
 
 SCMonitor::State SCMonitor::initial() const {
-  State S;
-  S.M.assign(NumLocs, 0);
+  State S(NumThreads, NumLocs, Abstract);
   // Initially every thread is hbSC-aware of every (initialization) write,
   // and each wmax_x trivially reaches only events accessing x (itself).
-  S.VSC.assign(NumThreads, RaLocs);
-  S.MSC.assign(NumLocs, BitSet64());
-  S.WSC.assign(NumLocs, BitSet64());
+  for (BitSet64 &B : S.VSC)
+    B = RaLocs;
   for (unsigned X : RaLocs) {
     S.MSC[X].insert(X);
     S.WSC[X].insert(X);
-  }
-  S.V.assign(NumThreads * NumLocs, BitSet64());
-  S.VRmw.assign(NumThreads * NumLocs, BitSet64());
-  S.W.assign(NumLocs * NumLocs, BitSet64());
-  S.WRmw.assign(NumLocs * NumLocs, BitSet64());
-  if (Abstract) {
-    S.CV.assign(NumThreads, BitSet64());
-    S.CVRmw.assign(NumThreads, BitSet64());
-    S.CW.assign(NumLocs, BitSet64());
-    S.CWRmw.assign(NumLocs, BitSet64());
   }
   return S;
 }
@@ -305,116 +331,131 @@ SCMonitor::checkAccess(const State &S, ThreadId T, const MemAccess &A) const {
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
+//
+// Every chunk has a program-constant length, so each emitter sizes the
+// output once and writes through a pointer. Sets are stored as whole
+// little-endian words at their fixed offsets, in increasing order: the
+// next store overwrites the excess, and the 8 bytes of slack past the
+// chunk are trimmed at the end.
 
-static void appendMask(std::string &Out, uint64_t Mask, unsigned Bytes) {
-  for (unsigned I = 0; I != Bytes; ++I)
-    Out.push_back(static_cast<char>((Mask >> (8 * I)) & 0xff));
+namespace {
+
+constexpr size_t Slack = sizeof(uint64_t);
+
+/// Stores \p Bits as a little-endian word at \p P.
+inline void put(char *P, uint64_t Bits) {
+  if constexpr (std::endian::native == std::endian::big)
+    Bits = __builtin_bswap64(Bits);
+  std::memcpy(P, &Bits, sizeof(Bits));
 }
 
-// In abstract mode value sets only ever contain critical values; pack
-// them into ceil(|Val(P,y)|/8) bytes (this is the Section 5.1 metadata
-// bound: 2(|Tid|+|Loc|)·Σ_x |Val(P,x)| bits instead of full domains).
-void SCMonitor::appendValSet(std::string &Out, const BitSet64 &B,
-                             LocId Y) const {
+/// Writes each set of \p Sets in \p Bytes bytes.
+char *putSets(const SCMField<BitSet64> &Sets, unsigned Bytes, char *P) {
+  for (BitSet64 B : Sets) {
+    put(P, B.mask());
+    P += Bytes;
+  }
+  return P;
+}
+
+/// Appends the \p Len bytes \p Write(char *) writes and returns the end
+/// of, with Slack spare bytes past them while it writes.
+template <typename Fn>
+void appendChunk(std::string &Out, size_t Len, Fn &&Write) {
+  size_t Old = Out.size();
+  Out.resize(Old + Len + Slack);
+  [[maybe_unused]] char *End = Write(Out.data() + Old);
+  assert(End == Out.data() + Old + Len);
+  Out.resize(Old + Len);
+}
+
+} // namespace
+
+// The writers keep members they loop over in locals: the stores through
+// P may alias any member, which would otherwise be reloaded every step.
+
+char *SCMonitor::writeValRow(const BitSet64 *Row, char *P) const {
+  const ValColumn *Col = ValCols.data(), *End = Col + ValCols.size();
   if (!Abstract) {
-    appendMask(Out, B.mask(), (NumVals + 7) / 8);
-    return;
+    for (; Col != End; ++Col)
+      put(P + Col->Offset, Row[Col->Loc].mask());
+    return P + ValRowBytes;
   }
-  uint64_t Packed = 0;
-  unsigned Bit = 0;
-  for (unsigned V : Crit[Y]) {
-    if (B.contains(V))
-      Packed |= static_cast<uint64_t>(1) << Bit;
-    ++Bit;
+  const uint64_t *Tab = PackTab.data();
+  unsigned InBytes = PackInBytes;
+  for (; Col != End; ++Col) {
+    uint64_t Bits = Row[Col->Loc].mask(), Packed = 0;
+    for (unsigned K = 0; K != InBytes; ++K, Tab += 256)
+      Packed |= Tab[(Bits >> (8 * K)) & 0xff];
+    put(P + Col->Offset, Packed);
   }
-  appendMask(Out, Packed, (Bit + 7) / 8);
+  return P + ValRowBytes;
+}
+
+char *SCMonitor::writeGlobal(const State &S, char *P) const {
+  unsigned L = NumLocs, LB = LocBytes;
+  std::memcpy(P, S.M.data(), L);
+  P += L;
+  P = putSets(S.MSC, LB, P);
+  P = putSets(S.WSC, LB, P);
+  for (const BitSet64 *Row = S.W.data(), *End = Row + S.W.size(); Row != End;
+       Row += L)
+    P = writeValRow(Row, P);
+  for (const BitSet64 *Row = S.WRmw.data(), *End = Row + S.WRmw.size();
+       Row != End; Row += L)
+    P = writeValRow(Row, P);
+  P = putSets(S.CW, LB, P);
+  return putSets(S.CWRmw, LB, P);
+}
+
+char *SCMonitor::writeThread(const State &S, unsigned T, char *P) const {
+  unsigned LB = LocBytes;
+  put(P, S.VSC[T].mask());
+  P = writeValRow(&S.V[T * NumLocs], P + LB);
+  P = writeValRow(&S.VRmw[T * NumLocs], P);
+  if (Abstract) {
+    put(P, S.CV[T].mask());
+    put(P + LB, S.CVRmw[T].mask());
+    P += 2 * LB;
+  }
+  return P;
 }
 
 void SCMonitor::serializeGlobal(const State &S, std::string &Out) const {
-  unsigned LocB = (NumLocs + 7) / 8;
-  Out.append(reinterpret_cast<const char *>(S.M.data()), S.M.size());
-  for (const BitSet64 &B : S.MSC)
-    appendMask(Out, B.mask(), LocB);
-  for (const BitSet64 &B : S.WSC)
-    appendMask(Out, B.mask(), LocB);
-  for (unsigned I = 0; I != S.W.size(); ++I)
-    appendValSet(Out, S.W[I], static_cast<LocId>(I % NumLocs));
-  for (unsigned I = 0; I != S.WRmw.size(); ++I)
-    appendValSet(Out, S.WRmw[I], static_cast<LocId>(I % NumLocs));
-  for (const BitSet64 &B : S.CW)
-    appendMask(Out, B.mask(), LocB);
-  for (const BitSet64 &B : S.CWRmw)
-    appendMask(Out, B.mask(), LocB);
+  appendChunk(Out, GlobalBytes, [&](char *P) { return writeGlobal(S, P); });
 }
 
 void SCMonitor::serializeThread(const State &S, unsigned T,
                                 std::string &Out) const {
-  unsigned LocB = (NumLocs + 7) / 8;
-  appendMask(Out, S.VSC[T].mask(), LocB);
-  for (unsigned X = 0; X != NumLocs; ++X)
-    appendValSet(Out, S.V[T * NumLocs + X], static_cast<LocId>(X));
-  for (unsigned X = 0; X != NumLocs; ++X)
-    appendValSet(Out, S.VRmw[T * NumLocs + X], static_cast<LocId>(X));
-  if (!S.CV.empty()) {
-    appendMask(Out, S.CV[T].mask(), LocB);
-    appendMask(Out, S.CVRmw[T].mask(), LocB);
-  }
+  appendChunk(Out, ThreadBytes,
+              [&](char *P) { return writeThread(S, T, P); });
 }
 
 void SCMonitor::serialize(const State &S, std::string &Out) const {
-  serializeComponents(S, Out, [] {});
+  appendChunk(Out, GlobalBytes + NumThreads * ThreadBytes, [&](char *P) {
+    P = writeGlobal(S, P);
+    for (unsigned T = 0; T != NumThreads; ++T)
+      P = writeThread(S, T, P);
+    return P;
+  });
 }
 
 //===----------------------------------------------------------------------===//
 // Checkpoint codec
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void encodeMasks(std::string &Out, const std::vector<BitSet64> &V) {
-  for (const BitSet64 &B : V) {
-    uint64_t M = B.mask();
-    Out.append(reinterpret_cast<const char *>(&M), sizeof(M));
-  }
-}
-
-bool decodeMasks(BinReader &R, std::vector<BitSet64> &V, size_t N) {
-  V.assign(N, BitSet64());
-  for (size_t I = 0; I != N; ++I)
-    V[I] = BitSet64::fromMask(R.u64());
-  return !R.fail();
-}
-
-} // namespace
-
 void SCMonitor::encodeState(const State &S, std::string &Out) const {
+  std::span<const BitSet64> Masks = S.masks();
   Out.append(reinterpret_cast<const char *>(S.M.data()), S.M.size());
-  encodeMasks(Out, S.VSC);
-  encodeMasks(Out, S.MSC);
-  encodeMasks(Out, S.WSC);
-  encodeMasks(Out, S.V);
-  encodeMasks(Out, S.VRmw);
-  encodeMasks(Out, S.W);
-  encodeMasks(Out, S.WRmw);
-  encodeMasks(Out, S.CV);
-  encodeMasks(Out, S.CVRmw);
-  encodeMasks(Out, S.CW);
-  encodeMasks(Out, S.CWRmw);
+  Out.append(reinterpret_cast<const char *>(Masks.data()), Masks.size_bytes());
 }
 
 bool SCMonitor::decodeState(BinReader &R, State &S) const {
   // All lengths are fixed by the program dimensions + the abstraction
   // flag, so nothing is length-prefixed.
-  S.M.assign(NumLocs, 0);
-  R.bytes(S.M.data(), NumLocs);
-  size_t AbsT = Abstract ? NumThreads : 0;
-  size_t AbsL = Abstract ? NumLocs : 0;
-  return decodeMasks(R, S.VSC, NumThreads) &&
-         decodeMasks(R, S.MSC, NumLocs) && decodeMasks(R, S.WSC, NumLocs) &&
-         decodeMasks(R, S.V, size_t(NumThreads) * NumLocs) &&
-         decodeMasks(R, S.VRmw, size_t(NumThreads) * NumLocs) &&
-         decodeMasks(R, S.W, size_t(NumLocs) * NumLocs) &&
-         decodeMasks(R, S.WRmw, size_t(NumLocs) * NumLocs) &&
-         decodeMasks(R, S.CV, AbsT) && decodeMasks(R, S.CVRmw, AbsT) &&
-         decodeMasks(R, S.CW, AbsL) && decodeMasks(R, S.CWRmw, AbsL);
+  S = State(NumThreads, NumLocs, Abstract);
+  std::span<BitSet64> Masks = S.masks();
+  R.bytes(S.M.data(), S.M.size());
+  R.bytes(Masks.data(), Masks.size_bytes());
+  return !R.fail();
 }

@@ -32,6 +32,13 @@
 /// explorer's memory-subsystem interface, so verifying robustness is
 /// literally a reachability run of the product P × SCM under SC.
 ///
+/// SCM is finite-state, and every component's size is fixed by |Tid|,
+/// |Loc| and the abstraction flag. A state is therefore one heap buffer
+/// (the bit-set tables back to back, then M) with the components as
+/// views into it, and its visited-set key has a fixed layout: SCMonitor
+/// precomputes every chunk's length and every set's offset, and writes
+/// each chunk through a pointer into a buffer sized once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ROCKER_MONITOR_SCMSTATE_H
@@ -43,34 +50,193 @@
 #include "support/BinCodec.h"
 #include "support/BitSet64.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace rocker {
 
-/// The monitor's per-state data. Index helpers live in SCMonitor.
+/// One SCMState field: a fixed-length run of the state's buffer, indexed
+/// and iterated like a vector. Assigning one field to another copies the
+/// elements (lengths must match), so a field behaves like the value it
+/// views; only SCMState itself points fields at a buffer.
+template <typename T> class SCMField {
+public:
+  SCMField() = default;
+  SCMField(const SCMField &) = delete;
+
+  SCMField &operator=(const SCMField &O) {
+    assert(N == O.N && "SCMField lengths differ");
+    std::copy(O.P, O.P + O.N, P);
+    return *this;
+  }
+
+  T &operator[](size_t I) {
+    assert(I < N && "SCMField index out of range");
+    return P[I];
+  }
+  const T &operator[](size_t I) const {
+    assert(I < N && "SCMField index out of range");
+    return P[I];
+  }
+
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  T *data() { return P; }
+  const T *data() const { return P; }
+  T *begin() { return P; }
+  T *end() { return P + N; }
+  const T *begin() const { return P; }
+  const T *end() const { return P + N; }
+
+private:
+  friend struct SCMState;
+  void reset(T *Ptr, size_t Len) {
+    P = Ptr;
+    N = Len;
+  }
+
+  T *P = nullptr;
+  size_t N = 0;
+};
+
+/// The monitor's per-state data. M and the eleven bit-set tables live in
+/// one heap buffer whose layout is fixed by |Tid|, |Loc| and the
+/// abstraction flag: the tables back to back in the order declared below
+/// (VSC first, CWRmw last), then M padded to a whole word. The named
+/// fields are views into that buffer (SCMField), so copying a state is one
+/// allocation plus a memcpy and == compares the buffer. Index helpers
+/// live in SCMonitor.
 struct SCMState {
-  std::vector<Val> M;        ///< Per location.
-  std::vector<BitSet64> VSC; ///< Per thread: set of locations.
-  std::vector<BitSet64> MSC; ///< Per location: set of locations.
-  std::vector<BitSet64> WSC; ///< Per location: set of locations.
-  std::vector<BitSet64> V;    ///< [τ * NumLocs + x]: set of values.
-  std::vector<BitSet64> VRmw; ///< [τ * NumLocs + x]: set of values.
-  std::vector<BitSet64> W;    ///< [x * NumLocs + y]: set of values.
-  std::vector<BitSet64> WRmw; ///< [x * NumLocs + y]: set of values.
-  // Abstract value management (empty vectors when disabled):
-  std::vector<BitSet64> CV;    ///< Per thread: set of locations.
-  std::vector<BitSet64> CVRmw; ///< Per thread: set of locations.
-  std::vector<BitSet64> CW;    ///< Per location: set of locations.
-  std::vector<BitSet64> CWRmw; ///< Per location: set of locations.
+  SCMField<Val> M;           ///< Per location.
+  SCMField<BitSet64> VSC;    ///< Per thread: set of locations.
+  SCMField<BitSet64> MSC;    ///< Per location: set of locations.
+  SCMField<BitSet64> WSC;    ///< Per location: set of locations.
+  SCMField<BitSet64> V;      ///< [τ * NumLocs + x]: set of values.
+  SCMField<BitSet64> VRmw;   ///< [τ * NumLocs + x]: set of values.
+  SCMField<BitSet64> W;      ///< [x * NumLocs + y]: set of values.
+  SCMField<BitSet64> WRmw;   ///< [x * NumLocs + y]: set of values.
+  // Abstract value management (empty fields when disabled):
+  SCMField<BitSet64> CV;     ///< Per thread: set of locations.
+  SCMField<BitSet64> CVRmw;  ///< Per thread: set of locations.
+  SCMField<BitSet64> CW;     ///< Per location: set of locations.
+  SCMField<BitSet64> CWRmw;  ///< Per location: set of locations.
+
+  /// An empty state with no buffer (assign a real one before use).
+  SCMState() = default;
+
+  /// An all-zero state: M = 0 everywhere and every set empty.
+  SCMState(unsigned NumThreads, unsigned NumLocs, bool Abstract)
+      : Threads(NumThreads), Locs(NumLocs), Abs(Abstract),
+        Words(numMasks(NumThreads, NumLocs, Abstract) + (NumLocs + 7) / 8),
+        Buf(allocate(Words)) {
+    if (Words)
+      std::memset(Buf.get(), 0, Words * sizeof(BitSet64));
+    bind();
+  }
+
+  SCMState(const SCMState &O) { *this = O; }
+
+  SCMState(SCMState &&O) noexcept { take(O); }
+
+  SCMState &operator=(const SCMState &O) {
+    if (this == &O)
+      return *this;
+    if (Words != O.Words)
+      Buf.reset(allocate(O.Words));
+    Threads = O.Threads;
+    Locs = O.Locs;
+    Abs = O.Abs;
+    Words = O.Words;
+    if (Words)
+      std::memcpy(Buf.get(), O.Buf.get(), Words * sizeof(BitSet64));
+    bind();
+    return *this;
+  }
+
+  SCMState &operator=(SCMState &&O) noexcept {
+    if (this != &O)
+      take(O);
+    return *this;
+  }
+
+  /// The bit-set tables VSC … CWRmw as one contiguous run (the
+  /// checkpoint codec copies it in bulk).
+  std::span<BitSet64> masks() { return {Buf.get(), maskCount()}; }
+  std::span<const BitSet64> masks() const { return {Buf.get(), maskCount()}; }
 
   friend bool operator==(const SCMState &A, const SCMState &B) {
-    return A.M == B.M && A.VSC == B.VSC && A.MSC == B.MSC &&
-           A.WSC == B.WSC && A.V == B.V && A.VRmw == B.VRmw &&
-           A.W == B.W && A.WRmw == B.WRmw && A.CV == B.CV &&
-           A.CVRmw == B.CVRmw && A.CW == B.CW && A.CWRmw == B.CWRmw;
+    return A.Threads == B.Threads && A.Locs == B.Locs && A.Abs == B.Abs &&
+           (A.Words == 0 ||
+            std::memcmp(A.Buf.get(), B.Buf.get(),
+                        A.Words * sizeof(BitSet64)) == 0);
   }
+
+  /// Number of bit sets in the tables VSC … CWRmw.
+  static size_t numMasks(unsigned NumThreads, unsigned NumLocs,
+                         bool Abstract) {
+    size_t T = NumThreads, L = NumLocs;
+    return T + 2 * L + 2 * T * L + 2 * L * L + (Abstract ? 2 * (T + L) : 0);
+  }
+
+private:
+  struct Release {
+    void operator()(BitSet64 *P) const { ::operator delete(P); }
+  };
+
+  static BitSet64 *allocate(size_t N) {
+    return N ? static_cast<BitSet64 *>(::operator new(N * sizeof(BitSet64)))
+             : nullptr;
+  }
+
+  size_t maskCount() const { return Words ? numMasks(Threads, Locs, Abs) : 0; }
+
+  /// Points the named views at this state's buffer.
+  void bind() {
+    BitSet64 *P = Buf.get();
+    auto Take = [&P](SCMField<BitSet64> &F, size_t N) {
+      F.reset(P, N);
+      P += N;
+    };
+    size_t T = Threads, L = Locs;
+    Take(VSC, T);
+    Take(MSC, L);
+    Take(WSC, L);
+    Take(V, T * L);
+    Take(VRmw, T * L);
+    Take(W, L * L);
+    Take(WRmw, L * L);
+    Take(CV, Abs ? T : 0);
+    Take(CVRmw, Abs ? T : 0);
+    Take(CW, Abs ? L : 0);
+    Take(CWRmw, Abs ? L : 0);
+    M.reset(reinterpret_cast<Val *>(P), L);
+  }
+
+  /// Moves \p O's buffer into this state and leaves \p O empty.
+  void take(SCMState &O) {
+    Threads = O.Threads;
+    Locs = O.Locs;
+    Abs = O.Abs;
+    Words = O.Words;
+    Buf = std::move(O.Buf);
+    bind();
+    O.Threads = O.Locs = 0;
+    O.Abs = false;
+    O.Words = 0;
+    O.bind();
+  }
+
+  uint16_t Threads = 0;
+  uint16_t Locs = 0;
+  bool Abs = false;
+  uint32_t Words = 0; ///< Buffer length in 64-bit words.
+  std::unique_ptr<BitSet64[], Release> Buf;
 };
 
 /// A robustness violation detected by the Theorem 5.3 conditions.
@@ -195,7 +361,8 @@ public:
 
   /// Checkpoint codec (resilience layer): all field lengths are fixed by
   /// the program dimensions + the abstraction flag, so the encoding is
-  /// the value bytes plus each bit set's raw 64-bit mask.
+  /// the value bytes of M followed by the state's bit-set tables copied
+  /// in bulk (each set as its raw 64-bit mask, VSC first, CWRmw last).
   void encodeState(const State &S, std::string &Out) const;
   bool decodeState(BinReader &R, State &S) const;
 
@@ -222,10 +389,18 @@ private:
   /// Figure 5 maintenance for a read of X by T.
   void updateHbScOnRead(State &S, ThreadId T, LocId X) const;
 
-  // serializeComponents' chunk emitters (see above).
+  // serializeComponents' chunk emitters (see above). Each appends a
+  // chunk of fixed length (GlobalBytes resp. ThreadBytes).
   void serializeGlobal(const State &S, std::string &Out) const;
   void serializeThread(const State &S, unsigned T, std::string &Out) const;
-  void appendValSet(std::string &Out, const BitSet64 &B, LocId Y) const;
+  // The chunk writers behind them: write one chunk at \p P and return
+  // its end. They store whole 64-bit words, so up to 7 bytes past the
+  // end are overwritten and must exist.
+  char *writeGlobal(const State &S, char *P) const;
+  char *writeThread(const State &S, unsigned T, char *P) const;
+  /// Writes a row of value sets indexed by location: each set as its raw
+  /// mask, or in abstract mode as its packed critical-value bits.
+  char *writeValRow(const BitSet64 *Row, char *P) const;
 
   unsigned NumThreads;
   unsigned NumLocs;
@@ -233,6 +408,23 @@ private:
   BitSet64 RaLocs;
   bool Abstract;
   std::vector<BitSet64> Crit; ///< Critical values per location (§5.1).
+
+  // Serializer layout, fixed per program (see the constructor).
+  /// A location whose value sets take at least one byte in a key, and
+  /// the offset of those bytes within a row of value sets.
+  struct ValColumn {
+    LocId Loc;
+    uint16_t Offset;
+  };
+  unsigned LocBytes;               ///< Bytes per set of locations.
+  std::vector<ValColumn> ValCols;  ///< In location order.
+  size_t ValRowBytes = 0;          ///< Bytes per row of value sets.
+  unsigned PackInBytes = 0;        ///< Abstract: mask bytes PackTab reads.
+  /// Abstract mode, [(C * PackInBytes + K) * 256 + Byte]: the packed
+  /// critical-value bits of mask byte K of a value set of column C.
+  std::vector<uint64_t> PackTab;
+  size_t GlobalBytes;              ///< Length of chunk 0.
+  size_t ThreadBytes;              ///< Length of each per-thread chunk.
 };
 
 } // namespace rocker

@@ -262,7 +262,7 @@ public:
     for (const SequentialProgram &S : P.Threads)
       Init.Threads.push_back(ThreadState::initial(S));
     Init.M = Mem.initial();
-    PayloadUnit = estimatePayloadUnit(Init);
+    PayloadUnit = Core.payloadBytes(Init);
 
     bool Ready = true;
     if (RO.wantsResume()) {
@@ -563,20 +563,6 @@ private:
   bool ckptActive() const {
     return HasCodec && !Opts.CollectProgramStates &&
            Opts.Resilience.wantsCheckpoints();
-  }
-
-  /// Rough live bytes per frontier state, used by the governor to charge
-  /// the deques against the memory budget.
-  uint64_t estimatePayloadUnit(const ProductState &Init) const {
-    uint64_t B = sizeof(ProductState);
-    for (const ThreadState &TS : Init.Threads) {
-      B += sizeof(ThreadState);
-      B += TS.Regs.capacity() * sizeof(TS.Regs[0]);
-    }
-    std::string MemBytes;
-    Mem.serialize(Init.M, MemBytes);
-    B += 2 * MemBytes.size() + 32;
-    return B;
   }
 
   //===------------------------------------------------------------------===//

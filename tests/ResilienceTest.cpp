@@ -25,6 +25,7 @@
 
 #include "litmus/Corpus.h"
 #include "memory/SCMemory.h"
+#include "monitor/SCMState.h"
 #include "obs/Trace.h"
 #include "parexplore/ParallelExplorer.h"
 #include "resilience/Checkpoint.h"
@@ -387,6 +388,26 @@ TEST(Resilience, MemBudgetDowngradesParallel) {
   if (R.Robust) {
     EXPECT_EQ(R.verdictClass(), VerdictClass::BoundedRobust);
   }
+}
+
+TEST(Resilience, PayloadChargeCoversMonitorState) {
+  // The governor charges every frontier state at payloadBytes. An SCM
+  // state counts at its checkpoint-codec length: on lamport2-3-ra all 177
+  // bit sets (1,416 B) and M, where twice the serialized key charged
+  // about 280 B.
+  Program P = findCorpusEntry("lamport2-3-ra").parse();
+  SCMonitor Mem(P, /*Abstract=*/true);
+  ASSERT_EQ(SCMState::numMasks(P.numThreads(), P.numLocs(), true), 177u);
+  using Core = ExpansionCore<SCMonitor>;
+  Core C(P, Mem, Core::Config{});
+  Core::ProductState Init;
+  for (const SequentialProgram &S : P.Threads)
+    Init.Threads.push_back(ThreadState::initial(S));
+  Init.M = Mem.initial();
+  std::string Codec;
+  Mem.encodeState(Init.M, Codec);
+  EXPECT_EQ(Codec.size(), P.numLocs() + 177u * 8);
+  EXPECT_GE(C.payloadBytes(Init), sizeof(Core::ProductState) + 1416);
 }
 
 //===----------------------------------------------------------------------===//
