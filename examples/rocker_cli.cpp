@@ -182,7 +182,7 @@ const CliOption Options[] = {
      }},
     {"--visited-log2", "K",
      "initial lock-free root-table capacity 2^K slots (default 2^18); "
-     "tables grow 4x automatically, truncating only at the 2^30 ceiling",
+     "each table doubles on its own, truncating only at the 2^30 ceiling",
      [](CliState &C, const char *V) {
        if (auto K = num::parseU32(V))
          C.Opts.LockFreeLog2 = *K;

@@ -154,7 +154,7 @@ public:
     }
   }
 
-  /// Single-chunk re-emission for the incremental (Zobrist) visited path:
+  /// Single-chunk re-emission for the incremental visited path:
   /// appends exactly the bytes serializeComponents emits for \p Chunk.
   void serializeComponent(const State &S, unsigned Chunk,
                           std::string &Out) const {

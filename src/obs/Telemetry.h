@@ -117,8 +117,9 @@ enum class Ctr : uint8_t {
                      ///< (empty or not) by idle workers.
   StealBatchItems,   ///< steal.batch_items — states moved by batched
                      ///< steals (items / steals = mean batch size).
-  VisitedGrowths     ///< visited.growths — lock-free table capacity
-                     ///< rebuilds (pause-the-world 4x growth).
+  VisitedGrowths     ///< visited.growths — pause-the-world growths of
+                     ///< the lock-free tier (each doubles every table
+                     ///< past 1/2 load).
 };
 inline constexpr unsigned NumCounters = 32;
 static_assert(NumCounters == static_cast<unsigned>(Ctr::VisitedGrowths) + 1,

@@ -53,6 +53,8 @@ const char *obs::traceInstantName(TraceInstant K) {
     return "job_resumed";
   case TraceInstant::ViolationFound:
     return "violation";
+  case TraceInstant::VisitedGrowth:
+    return "visited_growth";
   }
   return "unknown";
 }

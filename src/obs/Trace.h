@@ -72,9 +72,11 @@ enum class TraceInstant : uint8_t {
   JobFinished,      ///< job_finished — batch job done; arg: job index.
   JobPreempted,     ///< job_preempted — job truncated, spill left behind.
   JobResumed,       ///< job_resumed — job resumed from a prior spill.
-  ViolationFound    ///< violation — arg: state/step id of the witness.
+  ViolationFound,   ///< violation — arg: state/step id of the witness.
+  VisitedGrowth     ///< visited_growth — lock-free tables doubled under a
+                    ///< world pause; arg: pause length in microseconds.
 };
-inline constexpr unsigned NumTraceInstants = 18;
+inline constexpr unsigned NumTraceInstants = 19;
 
 /// Perfetto row label for an instant code ("steal", "watchdog", ...).
 const char *traceInstantName(TraceInstant K);

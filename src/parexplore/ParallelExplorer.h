@@ -9,17 +9,18 @@
 ///
 ///  * Visited set: by default a lock-free collapse-compressed set of
 ///    interned component-id tuples (support/LockFreeVisited.h — CAS-
-///    claimed open-address tables probed by an incrementally maintained
-///    Zobrist hash, so re-hashing a successor costs only its changed
-///    chunks); --visited=striped selects the mutex-striped tier
+///    claimed open-address tables with dense ids, so a successor
+///    re-interns only its changed chunks against its parent's cached
+///    ids); --visited=striped selects the mutex-striped tier
 ///    (support/StateInterner.h / support/ShardedSet.h) instead, and
 ///    CompressVisited off swaps the compressed layout for full serialized
 ///    product-state keys in either tier. Every combination deduplicates
 ///    exactly, so a run that is not truncated visits exactly the
 ///    reachable state set — state and transition counts are equal to the
-///    sequential engine's. The lock-free tables are fixed-capacity; on
-///    the (engineered-to-be-rare) full-table event the run truncates like
-///    a MaxStates cut rather than ever mis-deduplicating.
+///    sequential engine's. The management thread doubles each lock-free
+///    table on its own as it fills; on the (engineered-to-be-rare)
+///    full-table event the run truncates like a MaxStates cut rather than
+///    ever mis-deduplicating.
 ///  * Expansion: the shared core (explore/Expand.h) — the same check
 ///    battery, POR selection and chain walk as the sequential engine.
 ///  * Frontier: one WorkDeque per worker (owner LIFO, thieves FIFO), with
@@ -56,7 +57,6 @@
 #include "support/ShardedSet.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
-#include "support/Zobrist.h"
 
 #include <atomic>
 #include <bit>
@@ -83,7 +83,15 @@ enum class ParVerdict : uint8_t {
 /// Renders a verdict for reports.
 const char *parVerdictName(ParVerdict V);
 
-/// True when \p MemSys provides the two hooks the incremental Zobrist
+/// Resume error for a parallel checkpoint whose lock-free visited set
+/// uses a retired format: tags 3 and 4 stored slot placements at a fixed
+/// capacity, from when lock-free ids were slot indices.
+inline std::string retiredLockFreeFormatError(unsigned Tag) {
+  return "checkpoint uses the retired lock-free visited-set format (tag " +
+         std::to_string(Tag) + "); start the run afresh";
+}
+
+/// True when \p MemSys provides the two hooks the incremental visited
 /// path needs on top of serializeComponents: single-chunk re-emission
 /// (serializeComponent) and a dirty-chunk mask for a step
 /// (dirtyComponents — a superset mask over the subsystem's chunk
@@ -126,8 +134,8 @@ struct ParExploreOptions {
   /// identical either way; only scaling behavior differs.
   VisitedImpl Visited = defaultVisitedImpl();
   /// Initial lock-free root-table capacity override: 2^k slots (clamped
-  /// to [16, 30]); 0 = the small default (see lockFreeRootLog2). The
-  /// management thread grows the tables 4x as they fill.
+  /// to [16, 30]); 0 = the small default (see lockFreeRootLog2). Each
+  /// table then doubles on its own as it fills.
   unsigned LockFreeLog2 = 0;
   /// Max states a thief moves per steal (at least 1). Batched steals
   /// amortize the victim-lock round-trip — the steal-throughput lever
@@ -477,13 +485,12 @@ private:
     std::vector<uint32_t> TreeScratch; ///< insertTuple working space.
     ExpandScratch Scratch; ///< Expansion core buffers and POR counters.
     std::vector<ProductState> StealBuf; ///< Batched-steal landing area.
-    // Incremental-hash parent cache (lock-free interner only): the state
-    // being expanded, serialized and interned once by primeParent; each
-    // successor then re-interns only its dirty chunks and XOR-updates the
-    // parent's Zobrist hash (markVisited).
+    // Incremental parent cache (lock-free interner only): the state being
+    // expanded, serialized and interned once by primeParent; each
+    // successor then re-interns only its dirty chunks (markVisited). Ids
+    // never change, so the cache survives table growth.
     std::vector<uint32_t> ParentIds;      ///< Component ids, by tuple slot.
     std::vector<uint32_t> ParentChunkLen; ///< Chunk bytes, by emission idx.
-    uint64_t ParentHash = 0;   ///< zobristTuple of ParentIds.
     uint64_t ParentRawLen = 0; ///< Raw serialized key length of the parent.
     bool ParentValid = false;
   };
@@ -503,8 +510,8 @@ private:
     /// Lock-free tier (Opts.Visited == VisitedImpl::LockFree): exactly
     /// one of LfInterner (compressed) / LfSet (raw) is engaged, mirroring
     /// Interner / Visited above. unique_ptr (not optional) because the
-    /// tables are immovable and growth swaps in a rebuilt instance under
-    /// a world pause (growLockFree).
+    /// tables are immovable; each grows in place under a world pause
+    /// (growLockFree).
     std::unique_ptr<LockFreeStateInterner> LfInterner;
     std::unique_ptr<LockFreeStateSet> LfSet;
     ShardedStateSet ProgStates;
@@ -629,12 +636,15 @@ private:
 
   /// Bytes the governor charges against the memory budget: the visited
   /// representation plus a per-state estimate for the live frontier.
+  /// The lock-free tier is charged its resident heap (slot arrays at
+  /// capacity, id segments, arena blocks), not its occupancy: probing
+  /// touches every page of a slot array.
   uint64_t governedBytes(const Shared &Sh) const {
     uint64_t V = Sh.BitstateLog2.load(std::memory_order_relaxed)
                      ? Sh.BitstateWords * sizeof(uint64_t)
-                 : Sh.LfInterner ? Sh.LfInterner->bytesUsed()
+                 : Sh.LfInterner ? Sh.LfInterner->residentBytes()
                  : Sh.Interner   ? Sh.Interner->bytesUsed()
-                 : Sh.LfSet      ? Sh.LfSet->bytesUsed()
+                 : Sh.LfSet      ? Sh.LfSet->residentBytes()
                                  : Sh.Visited.bytesUsed();
     return V + Sh.TB.inFlight() * PayloadUnit;
   }
@@ -704,44 +714,33 @@ private:
     resumeWorld(Sh);
   }
 
-  /// Grows the lock-free visited tier by rebuilding it 4x larger under a
-  /// world pause. Ids are slot indices, so they change wholesale: every
-  /// worker's incremental-hash parent cache is invalidated under the
-  /// pause (the PauseM handoff orders the swap before any worker's next
-  /// probe). Amortized O(states) total re-interning work by geometric
-  /// growth; full() -> Bounded remains the safety net when the tables
-  /// reach the 2^MaxLockFreeRootLog2 ceiling or fill faster than the
-  /// management poll.
+  /// Grows the lock-free visited tier under a world pause: each table
+  /// past 1/2 load doubles by re-placing its own slot words. Ids do not
+  /// change, so nothing is re-interned and workers keep their parent
+  /// caches; the pause (PauseM handoff) orders the new slot arrays before
+  /// any worker's next probe. full() -> Bounded remains the safety net
+  /// when a table reaches the 2^MaxLockFreeRootLog2 ceiling or fills
+  /// faster than the management poll.
   void growLockFree(Shared &Sh) {
+    auto T0 = std::chrono::steady_clock::now();
     pauseWorld(Sh);
     // Re-check under the pause: full() may have latched (Bounded is
-    // already set, growth is pointless) or a checkpoint pause may have
-    // raced us past the threshold check.
-    if (Sh.LfInterner && Sh.LfInterner->wantsGrowth() &&
-        Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2 &&
-        !Sh.LfInterner->full()) {
-      auto New = std::make_unique<LockFreeStateInterner>(
-          Sh.LfInterner->numSlots(),
-          std::min(Sh.LfInterner->rootLog2() + 2, MaxLockFreeRootLog2));
-      Sh.LfInterner->migrateTo(*New);
-      Sh.LfInterner = std::move(New);
-    } else if (Sh.LfSet && Sh.LfSet->wantsGrowth() &&
-               Sh.LfSet->log2() < MaxLockFreeRootLog2 &&
-               !Sh.LfSet->full()) {
-      auto New = std::make_unique<LockFreeStateSet>(
-          std::min(Sh.LfSet->log2() + 2, MaxLockFreeRootLog2));
-      Sh.LfSet->migrateTo(*New);
-      Sh.LfSet = std::move(New);
-    } else {
-      resumeWorld(Sh);
-      return;
-    }
-    // Component ids are slot indices in the old tables; drop every
-    // worker's primed parent so the next expansion re-interns fresh.
-    for (const std::unique_ptr<WorkerSlot> &W : Sh.Workers)
-      W->ParentValid = false;
-    obs::add(obs::Ctr::VisitedGrowths);
+    // already set, growth is pointless).
+    unsigned Doublings = 0;
+    if (Sh.LfInterner && !Sh.LfInterner->full())
+      Doublings = Sh.LfInterner->grow();
+    else if (Sh.LfSet && !Sh.LfSet->full())
+      Doublings = Sh.LfSet->grow();
     resumeWorld(Sh);
+    if (!Doublings)
+      return;
+    obs::add(obs::Ctr::VisitedGrowths);
+    obs::traceInstant(
+        obs::TraceInstant::VisitedGrowth,
+        static_cast<uint64_t>(std::chrono::duration_cast<
+                                  std::chrono::microseconds>(
+                                  std::chrono::steady_clock::now() - T0)
+                                  .count()));
   }
 
   /// Management loop run by the main thread while workers explore:
@@ -809,13 +808,8 @@ private:
       }
       if (GrowOn && !Sh.TB.stopped() &&
           Sh.BitstateLog2.load(std::memory_order_relaxed) == 0) {
-        bool Wants =
-            Sh.LfInterner
-                ? (Sh.LfInterner->wantsGrowth() &&
-                   Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2)
-                : (Sh.LfSet && Sh.LfSet->wantsGrowth() &&
-                   Sh.LfSet->log2() < MaxLockFreeRootLog2);
-        if (Wants) {
+        if (Sh.LfInterner ? Sh.LfInterner->wantsGrowth()
+                          : Sh.LfSet && Sh.LfSet->wantsGrowth()) {
           growLockFree(Sh);
           // The pause stalls expansion; don't let it trip the watchdog.
           WatchT = std::chrono::steady_clock::now();
@@ -974,18 +968,14 @@ private:
         for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
           W.u64(Sh.Bitstate[I].load(std::memory_order_relaxed));
       } else if (Sh.LfInterner) {
-        // Lock-free ids are slot indices, so the capacity at save time
-        // (growth may have raised it past the initial sizing) is part of
-        // the format: restore rebuilds the instance at this log2.
-        W.u8(3);
-        W.u32(Sh.LfInterner->rootLog2());
+        // Tags 5 and 6 hold (id, payload) entries; 3 and 4 are retired.
+        W.u8(5);
         Sh.LfInterner->save(W);
       } else if (Sh.Interner) {
         W.u8(0);
         Sh.Interner->save(W);
       } else if (Sh.LfSet) {
-        W.u8(4);
-        W.u32(Sh.LfSet->log2());
+        W.u8(6);
         Sh.LfSet->save(W);
       } else {
         W.u8(1);
@@ -1115,39 +1105,21 @@ private:
               "--visited mismatch)";
           return false;
         }
-      } else if (Tag == 3) {
-        // Lock-free ids are slot indices, so the table capacity must
-        // round-trip exactly: rebuild the instance at the saved log2
-        // (growth may have raised it past this run's initial sizing).
-        unsigned SavedLog2 = R.u32();
-        if (!Sh.LfInterner || R.fail() || SavedLog2 < 16 ||
-            SavedLog2 > MaxLockFreeRootLog2) {
+      } else if (Tag == 3 || Tag == 4) {
+        RR.ResumeError = retiredLockFreeFormatError(Tag);
+        return false;
+      } else if (Tag == 5) {
+        // Entries carry their ids, so each table sizes itself from its
+        // entry count: any --visited-log2 can resume any checkpoint.
+        if (!Sh.LfInterner || !Sh.LfInterner->restore(R)) {
           RR.ResumeError =
               "corrupt checkpoint: lock-free compressed visited set (or "
               "--visited/--compress-visited mismatch)";
           return false;
         }
-        if (Sh.LfInterner->rootLog2() != SavedLog2)
-          Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
-              Sh.LfInterner->numSlots(), SavedLog2);
-        if (!Sh.LfInterner->restore(R)) {
-          RR.ResumeError =
-              "corrupt checkpoint: lock-free compressed visited set (or "
-              "--visited/--compress-visited mismatch)";
-          return false;
-        }
-      } else if (Tag == 4) {
-        unsigned SavedLog2 = R.u32();
-        if (Sh.LfInterner || Sh.Interner || !Sh.LfSet || R.fail() ||
-            SavedLog2 < 16 || SavedLog2 > MaxLockFreeRootLog2) {
-          RR.ResumeError =
-              "corrupt checkpoint: lock-free visited set (or --visited/"
-              "--compress-visited mismatch)";
-          return false;
-        }
-        if (Sh.LfSet->log2() != SavedLog2)
-          Sh.LfSet = std::make_unique<LockFreeStateSet>(SavedLog2);
-        if (!Sh.LfSet->restore(R)) {
+      } else if (Tag == 6) {
+        if (Sh.LfInterner || Sh.Interner || !Sh.LfSet ||
+            !Sh.LfSet->restore(R)) {
           RR.ResumeError =
               "corrupt checkpoint: lock-free visited set (or --visited/"
               "--compress-visited mismatch)";
@@ -1237,8 +1209,8 @@ private:
   }
 
   /// Caches the state being expanded — per-slot component ids, per-chunk
-  /// byte lengths, raw key length, and the tuple's Zobrist hash — so each
-  /// successor re-interns only its dirty chunks. The chunks were already
+  /// byte lengths and raw key length — so each successor re-interns only
+  /// its dirty chunks. The chunks were already
   /// interned when \p S itself was marked visited, so every probe here is
   /// a hit (one memoized-hash compare); the cost is one serialization per
   /// expansion, repaid (successors × clean chunks) times.
@@ -1278,7 +1250,6 @@ private:
       flushProbeStats(W, St);
       if (!Ok)
         return; // Full table: successors take the (also failing) full path.
-      W.ParentHash = zobristTuple(W.ParentIds.data(), NumEmit);
       W.ParentRawLen = RawLen;
       W.ParentValid = true;
     }
@@ -1286,9 +1257,8 @@ private:
 
   /// Lock-free compressed insert. With a valid parent cache and a
   /// bounded dirty mask, only the dirty chunks are re-serialized and
-  /// re-interned and the Zobrist hash is XOR-updated (O(changed
-  /// components) instead of O(state)); otherwise every chunk is handled,
-  /// as in the striped path.
+  /// re-interned (O(changed components) instead of O(state) component
+  /// work); otherwise every chunk is handled, as in the striped path.
   bool lockFreeIntern(Shared &Sh, const ProductState &S, WorkerSlot &W,
                       uint64_t Dirty) const {
     LockFreeStateInterner &In = *Sh.LfInterner;
@@ -1298,7 +1268,6 @@ private:
     if constexpr (HasIncrementalHash<MemSys>) {
       if (W.ParentValid && Dirty != ~uint64_t{0} && NumEmit <= 64) {
         W.TupleBuf = W.ParentIds;
-        uint64_t H = W.ParentHash;
         uint64_t RawLen = W.ParentRawLen;
         uint64_t Mask = NumEmit == 64 ? ~uint64_t{0}
                                       : (uint64_t{1} << NumEmit) - 1;
@@ -1314,10 +1283,9 @@ private:
           }
           RawLen += W.CompBuf.size();
           RawLen -= W.ParentChunkLen[Idx];
-          H = zobristUpdate(H, Slot, W.TupleBuf[Slot], Id);
           W.TupleBuf[Slot] = Id;
         }
-        bool New = Ok && In.insertTuple(W.TupleBuf.data(), H,
+        bool New = Ok && In.insertTuple(W.TupleBuf.data(),
                                         stringNodeBytes(RawLen, 0), St,
                                         W.TreeScratch);
         flushProbeStats(W, St);
@@ -1344,10 +1312,9 @@ private:
       Cut();
     }
     serializeMemComponents(Mem, S.M, W.CompBuf, Cut);
-    bool New =
-        Ok && In.insertTuple(W.TupleBuf.data(),
-                             zobristTuple(W.TupleBuf.data(), NumEmit),
-                             stringNodeBytes(RawLen, 0), St, W.TreeScratch);
+    bool New = Ok && In.insertTuple(W.TupleBuf.data(),
+                                    stringNodeBytes(RawLen, 0), St,
+                                    W.TreeScratch);
     flushProbeStats(W, St);
     if (!New && (!Ok || In.full()))
       return tableFull(Sh);
@@ -1587,7 +1554,7 @@ private:
   }
 
   /// Expands one product state through the expansion core and interns
-  /// each successor's chain endpoint with its Zobrist dirty mask.
+  /// each successor's chain endpoint with its dirty mask.
   template <typename AccessHook, typename StateHook>
   void expandState(Shared &Sh, WorkerSlot &W, const ProductState &S,
                    AccessHook &AHook, StateHook &SHook) {

@@ -67,6 +67,8 @@ public:
 
   bool fail() const { return Failed; }
   bool atEnd() const { return Pos == Buf.size(); }
+  /// Bytes left to read; bounds element counts before allocating.
+  size_t remaining() const { return Buf.size() - Pos; }
 
   uint8_t u8() {
     uint8_t V = 0;

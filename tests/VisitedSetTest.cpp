@@ -14,11 +14,12 @@
 //    the raw visited set, corpus-wide, at 1 and 4 threads.
 //  * unit tests of StateInterner / ShardedStateInterner themselves.
 //  * the lock-free visited tier (support/LockFreeVisited.h): CAS-table
-//    unit tests (concurrent exactness, save/restore, sticky full()),
-//    Zobrist delta-vs-full property checks, growth/migration identity,
-//    and lock-free-vs-striped verdict/count equivalence at 1, 4, and 16
-//    workers (16 is oversubscribed on small machines — that is the
-//    point: heavy interleaving, same answers).
+//    unit tests (concurrent exactness, ids stable across concurrent
+//    growth, save/restore by id, sticky full()), checkpoint resume after
+//    growth and rejection of retired checkpoint formats, governor
+//    charging, and lock-free-vs-striped verdict/count equivalence at 1,
+//    4, and 16 workers (16 is oversubscribed on small machines — that is
+//    the point: heavy interleaving, same answers).
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +32,13 @@
 #include "support/LockFreeVisited.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
-#include "support/Zobrist.h"
 #include "tso/TSORobustness.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -396,72 +399,6 @@ TEST(CompressedVisited, StatsReportBytesAndRatio) {
 }
 
 //===----------------------------------------------------------------------===//
-// Zobrist hashing: the incremental identity the lock-free tier relies on
-//===----------------------------------------------------------------------===//
-
-TEST(Zobrist, DeltaEqualsFullForEverySingleSlotChange) {
-  constexpr unsigned N = 9;
-  uint32_t Ids[N];
-  for (unsigned I = 0; I != N; ++I)
-    Ids[I] = I * 17 + 3;
-  uint64_t H = zobristTuple(Ids, N);
-  for (unsigned Slot = 0; Slot != N; ++Slot) {
-    uint32_t Mutated[N];
-    std::copy(Ids, Ids + N, Mutated);
-    Mutated[Slot] = Ids[Slot] + 100000;
-    EXPECT_EQ(zobristUpdate(H, Slot, Ids[Slot], Mutated[Slot]),
-              zobristTuple(Mutated, N))
-        << "slot " << Slot;
-    // And the update is self-inverse (remove == undo install).
-    EXPECT_EQ(zobristUpdate(zobristUpdate(H, Slot, Ids[Slot],
-                                          Mutated[Slot]),
-                            Slot, Mutated[Slot], Ids[Slot]),
-              H);
-  }
-}
-
-TEST(Zobrist, DeltaEqualsFullOnRandomMultiSlotWalk) {
-  // Deterministic xorshift walk: mutate 1-4 slots per step and keep the
-  // hash incrementally; it must track the full re-hash at every step.
-  constexpr unsigned N = 13;
-  uint32_t Ids[N] = {};
-  uint64_t H = zobristTuple(Ids, N);
-  uint64_t Rng = 0x243f6a8885a308d3ull;
-  auto Next = [&Rng] {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    return Rng;
-  };
-  for (unsigned Step = 0; Step != 2000; ++Step) {
-    unsigned Changes = 1 + Next() % 4;
-    for (unsigned C = 0; C != Changes; ++C) {
-      unsigned Slot = Next() % N;
-      uint32_t NewId = static_cast<uint32_t>(Next());
-      H = zobristUpdate(H, Slot, Ids[Slot], NewId);
-      Ids[Slot] = NewId;
-    }
-    ASSERT_EQ(H, zobristTuple(Ids, N)) << "step " << Step;
-  }
-}
-
-TEST(Zobrist, DistinctTuplesRarelyCollide) {
-  // Not a correctness requirement (equality is decided on the tuple, a
-  // collision only costs probe steps), but a sanity check that the
-  // mixing is not degenerate.
-  constexpr unsigned N = 4;
-  std::vector<uint64_t> Hashes;
-  for (uint32_t A = 0; A != 16; ++A)
-    for (uint32_t B = 0; B != 16; ++B)
-      for (uint32_t C = 0; C != 16; ++C) {
-        uint32_t Ids[N] = {A, B, C, A ^ B};
-        Hashes.push_back(zobristTuple(Ids, N));
-      }
-  std::sort(Hashes.begin(), Hashes.end());
-  EXPECT_EQ(std::unique(Hashes.begin(), Hashes.end()), Hashes.end());
-}
-
-//===----------------------------------------------------------------------===//
 // Lock-free table unit tests
 //===----------------------------------------------------------------------===//
 
@@ -469,17 +406,18 @@ TEST(LockFreeTables, PairTableInternsAndDedups) {
   lf::PairTable T(10);
   lf::ProbeStats St;
   bool New = false;
-  uint32_t A = T.intern(lf::packPair(1, 2), 12345, St, New);
+  uint32_t A = T.intern(lf::packPair(1, 2), St, New);
   EXPECT_TRUE(New);
   EXPECT_EQ(T.get(A), lf::packPair(1, 2));
-  uint32_t B = T.intern(lf::packPair(1, 2), 12345, St, New);
+  uint32_t B = T.intern(lf::packPair(1, 2), St, New);
   EXPECT_FALSE(New);
   EXPECT_EQ(A, B);
-  // Same hash, different payload: linear probing must separate them.
-  uint32_t C = T.intern(lf::packPair(3, 4), 12345, St, New);
+  uint32_t C = T.intern(lf::packPair(3, 4), St, New);
   EXPECT_TRUE(New);
-  EXPECT_NE(A, C);
   EXPECT_EQ(T.get(C), lf::packPair(3, 4));
+  // Ids are dense counters, not slot indices.
+  EXPECT_EQ(A, 0u);
+  EXPECT_EQ(C, 1u);
   EXPECT_EQ(T.used(), 2u);
   EXPECT_FALSE(T.full());
 }
@@ -493,7 +431,7 @@ TEST(LockFreeTables, PairTableConcurrentInsertsAreExact) {
     lf::ProbeStats St;
     for (uint32_t I = 0; I != N; ++I) {
       bool New = false;
-      uint32_t Id = T.intern(I, hashMix64(I), St, New);
+      uint32_t Id = T.intern(I, St, New);
       ASSERT_NE(Id, lf::PairTable::InvalidId);
       ASSERT_EQ(T.get(Id), I);
     }
@@ -527,49 +465,171 @@ TEST(LockFreeTables, StringTableConcurrentInsertsAreExact) {
     Th.join();
   EXPECT_EQ(T.used(), N);
   EXPECT_GT(T.bytesUsed(), N * sizeof(uint64_t));
+  EXPECT_GE(T.residentBytes(), T.slotBytes() + T.bytesUsed());
 }
 
-TEST(LockFreeTables, PairTableSaveRestoreKeepsSlotPlacement) {
+namespace {
+
+/// Drives an id-issuing table through 5 phases in which 4 threads
+/// intern every key seen so far plus 512 new ones, each thread from a
+/// different starting point; between phases the table doubles (quiesced,
+/// as under the engine's pause) while past 1/2 load. Every id returned
+/// before a growth must resolve to its payload after it, re-interning
+/// must return the same id, and no payload may be stored twice.
+template <typename Table, typename PayloadFn>
+void internAcrossGrowths(Table &T, PayloadFn Payload) {
+  constexpr unsigned Threads = 4, Phases = 5;
+  constexpr uint32_t PerPhase = 512;
+  std::vector<uint32_t> IdOf; // By key, fixed once returned.
+  unsigned Growths = 0;
+  for (unsigned Ph = 0; Ph != Phases; ++Ph) {
+    const uint32_t Keys = (Ph + 1) * PerPhase;
+    std::vector<std::vector<uint32_t>> Got(Threads,
+                                           std::vector<uint32_t>(Keys));
+    std::vector<std::thread> Ts;
+    for (unsigned W = 0; W != Threads; ++W)
+      Ts.emplace_back([&, W] {
+        lf::ProbeStats St;
+        for (uint32_t I = 0; I != Keys; ++I) {
+          uint32_t K = (I + W * Keys / Threads) % Keys;
+          bool New = false;
+          Got[W][K] = T.intern(Payload(K), St, New);
+        }
+      });
+    for (std::thread &Th : Ts)
+      Th.join();
+    ASSERT_FALSE(T.full()) << "phase " << Ph;
+    ASSERT_EQ(T.used(), Keys) << "phase " << Ph; // One slot per payload.
+    for (uint32_t K = 0; K != Keys; ++K) {
+      for (unsigned W = 1; W != Threads; ++W)
+        ASSERT_EQ(Got[W][K], Got[0][K]) << "key " << K << " phase " << Ph;
+      if (K < IdOf.size())
+        ASSERT_EQ(Got[0][K], IdOf[K]) << "key " << K << " phase " << Ph;
+      else
+        IdOf.push_back(Got[0][K]);
+    }
+    std::vector<uint32_t> Sorted = IdOf;
+    std::sort(Sorted.begin(), Sorted.end());
+    ASSERT_EQ(std::adjacent_find(Sorted.begin(), Sorted.end()), Sorted.end())
+        << "two keys share an id in phase " << Ph;
+    Growths += T.grow();
+    for (uint32_t K = 0; K != Keys; ++K)
+      ASSERT_EQ(T.get(IdOf[K]), Payload(K)) << "key " << K << " phase " << Ph;
+  }
+  // 2^10 slots double after phases 0, 1 and 3.
+  EXPECT_EQ(Growths, 3u);
+  EXPECT_EQ(T.log2(), 13u);
+}
+
+} // namespace
+
+TEST(LockFreeTables, PairTableIdsSurviveConcurrentGrowth) {
+  lf::PairTable T(10);
+  internAcrossGrowths(T, [](uint32_t K) {
+    return lf::packPair(K * 7 + 1, K ^ 0x5a5a5u);
+  });
+}
+
+TEST(LockFreeTables, StringTableIdsSurviveConcurrentGrowth) {
+  lf::StringTable T(10);
+  internAcrossGrowths(T, [](uint32_t K) {
+    return std::string(1 + K % 23, static_cast<char>('a' + K % 26)) +
+           std::to_string(K);
+  });
+}
+
+TEST(LockFreeTables, PairSetSurvivesConcurrentGrowth) {
+  // The root table has no ids: exactly one thread may see each payload
+  // as new, before and after the table doubles.
+  lf::PairSet T(10);
+  constexpr unsigned Threads = 4;
+  uint32_t Stored = 0;
+  for (uint32_t Keys : {512u, 1024u, 1536u, 2048u, 2560u}) {
+    std::atomic<uint32_t> Fresh{0};
+    std::vector<std::thread> Ts;
+    for (unsigned W = 0; W != Threads; ++W)
+      Ts.emplace_back([&, W] {
+        lf::ProbeStats St;
+        for (uint32_t I = 0; I != Keys; ++I) {
+          bool New = false;
+          ASSERT_TRUE(
+              T.insert(lf::packPair((I + W * 97) % Keys, 3), St, New));
+          Fresh.fetch_add(New, std::memory_order_relaxed);
+        }
+      });
+    for (std::thread &Th : Ts)
+      Th.join();
+    EXPECT_EQ(Fresh.load(), Keys - Stored);
+    EXPECT_EQ(T.used(), Keys);
+    Stored = Keys;
+    T.grow();
+  }
+  EXPECT_EQ(T.log2(), 13u);
+  uint32_t Seen = 0;
+  T.forEach([&](uint64_t P) {
+    EXPECT_EQ(static_cast<uint32_t>(P), 3u);
+    ++Seen;
+  });
+  EXPECT_EQ(Seen, Stored);
+}
+
+TEST(LockFreeTables, PairTableSaveRestoreKeepsIds) {
   lf::PairTable T(10);
   lf::ProbeStats St;
   std::vector<std::pair<uint32_t, uint64_t>> Entries;
-  for (uint32_t I = 0; I != 100; ++I) {
+  for (uint32_t I = 0; I != 700; ++I) {
     bool New = false;
     uint64_t P = lf::packPair(I, I * 7);
-    Entries.emplace_back(T.intern(P, hashMix64(P), St, New), P);
+    Entries.emplace_back(T.intern(P, St, New), P);
   }
+  T.grow();
   BinWriter W;
   T.save(W);
-  lf::PairTable R(10);
+  // Restore sizes the table from the entry count, whatever it started
+  // at: no capacity has to round-trip.
+  lf::PairTable R(8);
   BinReader Rd(W.Buf);
   ASSERT_TRUE(R.restore(Rd));
   EXPECT_EQ(R.used(), T.used());
-  for (auto [Id, P] : Entries)
-    EXPECT_EQ(R.get(Id), P); // Ids are slot indices: placement-exact.
-  // A capacity mismatch must be rejected, not silently rehashed.
-  lf::PairTable Wrong(11);
+  EXPECT_FALSE(R.wantsGrowth());
+  for (auto [Id, P] : Entries) {
+    EXPECT_EQ(R.get(Id), P);
+    bool New = true;
+    EXPECT_EQ(R.intern(P, St, New), Id);
+    EXPECT_FALSE(New);
+  }
+  bool New = false;
+  EXPECT_GE(R.intern(lf::packPair(9999, 1), St, New), Entries.size());
+  EXPECT_TRUE(New);
+  // A table that already holds entries cannot be restored into.
   BinReader Rd2(W.Buf);
-  EXPECT_FALSE(Wrong.restore(Rd2));
+  EXPECT_FALSE(R.restore(Rd2));
 }
 
-TEST(LockFreeTables, StringTableSaveRestoreKeepsSlotPlacement) {
+TEST(LockFreeTables, StringTableSaveRestoreKeepsIds) {
   lf::StringTable T(10);
   lf::ProbeStats St;
   std::vector<std::pair<uint32_t, std::string>> Entries;
-  for (uint32_t I = 0; I != 100; ++I) {
+  for (uint32_t I = 0; I != 700; ++I) {
     bool New = false;
     std::string S(1 + I % 40, static_cast<char>('a' + I % 26));
     S += std::to_string(I);
     Entries.emplace_back(T.intern(S, St, New), S);
   }
+  T.grow();
   BinWriter W;
   T.save(W);
-  lf::StringTable R(10);
+  lf::StringTable R(16);
   BinReader Rd(W.Buf);
   ASSERT_TRUE(R.restore(Rd));
   EXPECT_EQ(R.used(), T.used());
-  for (const auto &[Id, S] : Entries)
+  EXPECT_EQ(R.bytesUsed(), T.bytesUsed());
+  for (const auto &[Id, S] : Entries) {
     EXPECT_EQ(R.get(Id), S);
+    bool New = true;
+    EXPECT_EQ(R.intern(S, St, New), Id);
+    EXPECT_FALSE(New);
+  }
 }
 
 TEST(LockFreeTables, FullTableLatchesStickyAndRejectsInserts) {
@@ -580,103 +640,112 @@ TEST(LockFreeTables, FullTableLatchesStickyAndRejectsInserts) {
   bool New = false;
   uint32_t Cap = 256 - 256 / 8;
   for (uint32_t I = 0; I != Cap; ++I)
-    ASSERT_NE(T.intern(I, hashMix64(I), St, New), lf::PairTable::InvalidId);
+    ASSERT_NE(T.intern(I, St, New), lf::PairTable::InvalidId);
   EXPECT_FALSE(T.full());
   EXPECT_TRUE(T.wantsGrowth()); // Growth should have been asked long ago.
-  EXPECT_EQ(T.intern(9999, hashMix64(9999), St, New),
-            lf::PairTable::InvalidId);
+  EXPECT_EQ(T.intern(9999, St, New), lf::PairTable::InvalidId);
   EXPECT_TRUE(T.full()); // Sticky.
   // Existing payloads still dedup exactly while full.
-  EXPECT_NE(T.intern(5, hashMix64(5), St, New), lf::PairTable::InvalidId);
+  EXPECT_NE(T.intern(5, St, New), lf::PairTable::InvalidId);
   EXPECT_FALSE(New);
 }
 
 //===----------------------------------------------------------------------===//
-// Growth migration: rebuilds must preserve the stored state set exactly
+// Growth: migrating slot words into doubled arrays keeps every state and
+// every id
 //===----------------------------------------------------------------------===//
 
 TEST(LockFreeVisited, SetMigrationPreservesKeys) {
-  LockFreeStateSet Small(10);
+  LockFreeStateSet Set(10);
   lf::ProbeStats St;
   for (uint32_t I = 0; I != 600; ++I)
-    EXPECT_TRUE(Small.insert("state-" + std::to_string(I), St));
-  EXPECT_TRUE(Small.wantsGrowth()); // 600/1024 is past the 1/2 trigger.
-  LockFreeStateSet Big(12);
-  Small.migrateTo(Big);
-  EXPECT_EQ(Big.size(), Small.size());
+    EXPECT_TRUE(Set.insert("state-" + std::to_string(I), St));
+  EXPECT_TRUE(Set.wantsGrowth()); // 600/1024 is past the 1/2 trigger.
+  EXPECT_EQ(Set.grow(), 1u);
+  EXPECT_EQ(Set.log2(), 11u);
+  EXPECT_FALSE(Set.wantsGrowth());
+  EXPECT_EQ(Set.size(), 600u);
   for (uint32_t I = 0; I != 600; ++I)
-    EXPECT_FALSE(Big.insert("state-" + std::to_string(I), St)) << I;
-  EXPECT_TRUE(Big.insert("state-new", St));
+    EXPECT_FALSE(Set.insert("state-" + std::to_string(I), St)) << I;
+  EXPECT_TRUE(Set.insert("state-new", St));
 }
 
-TEST(LockFreeVisited, InternerMigrationPreservesStates) {
-  // 5 slots exercises the odd-width reduction levels (5 -> 3 -> 2).
-  constexpr unsigned Slots = 5;
-  LockFreeStateInterner Small(Slots, 16);
+namespace {
+
+/// Interns state \p Seed of a \p Slots-wide tuple whose slot s holds
+/// Seed mod (Mod + s): distinct for every Seed below the moduli's lcm.
+bool insertModState(LockFreeStateInterner &In, unsigned Slots, uint32_t Mod,
+                    uint32_t Seed, std::vector<uint32_t> *IdsOut = nullptr) {
   lf::ProbeStats St;
-  std::vector<uint32_t> Scratch;
-  auto Insert = [&](LockFreeStateInterner &In, uint32_t Seed) {
-    uint32_t Ids[Slots];
-    uint64_t RawLen = 0;
-    for (unsigned S = 0; S != Slots; ++S) {
-      std::string C = "c" + std::to_string(S) + "-" +
-                      std::to_string(Seed % (37 + S));
-      RawLen += C.size();
-      Ids[S] = In.internComponent(S, C, St);
-    }
-    return In.insertTuple(Ids, zobristTuple(Ids, Slots),
-                          stringNodeBytes(RawLen, 0), St, Scratch);
-  };
-  constexpr uint32_t N = 5000;
+  std::vector<uint32_t> Ids(Slots), Scratch;
+  uint64_t RawLen = 0;
+  for (unsigned S = 0; S != Slots; ++S) {
+    std::string C =
+        "c" + std::to_string(S) + "-" + std::to_string(Seed % (Mod + S));
+    RawLen += C.size();
+    Ids[S] = In.internComponent(S, C, St);
+  }
+  if (IdsOut)
+    *IdsOut = Ids;
+  return In.insertTuple(Ids.data(), stringNodeBytes(RawLen, 0), St, Scratch);
+}
+
+} // namespace
+
+TEST(LockFreeVisited, InternerMigrationPreservesStates) {
+  // 5 slots exercises the odd-width reduction levels (5 -> 3 -> 2);
+  // 40,000 states pass the 2^16 root table's 1/2-load trigger.
+  constexpr unsigned Slots = 5;
+  constexpr uint32_t N = 40'000;
+  LockFreeStateInterner In(Slots, 16);
   for (uint32_t I = 0; I != N; ++I)
-    Insert(Small, I);
-  uint64_t Stored = Small.size();
-  ASSERT_GT(Stored, 1000u);
-  LockFreeStateInterner Big(Slots, 18);
-  Small.migrateTo(Big);
-  EXPECT_EQ(Big.size(), Stored);
-  EXPECT_EQ(Big.rawBytes(), Small.rawBytes());
-  // Every original state must dedup against the migrated instance (ids
-  // changed, state identity did not)...
+    ASSERT_TRUE(insertModState(In, Slots, 37, I)) << I;
+  std::vector<uint32_t> IdsBefore;
+  insertModState(In, Slots, 37, 12345, &IdsBefore);
+  uint64_t Raw = In.rawBytes();
+  ASSERT_TRUE(In.wantsGrowth());
+  EXPECT_GE(In.grow(), 1u);
+  EXPECT_FALSE(In.wantsGrowth());
+  EXPECT_EQ(In.size(), N);
+  EXPECT_EQ(In.rawBytes(), Raw);
+  // Every state dedups against the grown tables, and component ids did
+  // not move...
   for (uint32_t I = 0; I != N; ++I)
-    EXPECT_FALSE(Insert(Big, I)) << I;
-  EXPECT_EQ(Big.size(), Stored);
-  // ...and fresh states must still be accepted as new.
-  EXPECT_TRUE(Insert(Big, N * 1000 + 1));
+    EXPECT_FALSE(insertModState(In, Slots, 37, I)) << I;
+  std::vector<uint32_t> IdsAfter;
+  insertModState(In, Slots, 37, 12345, &IdsAfter);
+  EXPECT_EQ(IdsBefore, IdsAfter);
+  // ...and fresh states are still accepted as new.
+  EXPECT_TRUE(insertModState(In, Slots, 1u << 20, 999'999));
+  EXPECT_EQ(In.size(), N + 1);
 }
 
 TEST(LockFreeVisited, GrownInternerSaveRestoreRoundTrips) {
-  // The engine checkpoints the grown size and reconstructs at it; the
-  // payload itself must round-trip through save/restore at that size.
+  // A grown interner round-trips through save/restore into fresh
+  // interners of any initial size: each table sizes itself from its
+  // entry count.
   constexpr unsigned Slots = 3;
+  constexpr uint32_t N = 40'000;
   LockFreeStateInterner A(Slots, 16);
-  lf::ProbeStats St;
-  std::vector<uint32_t> Scratch;
-  auto Insert = [&](LockFreeStateInterner &In, uint32_t Seed) {
-    uint32_t Ids[Slots];
-    for (unsigned S = 0; S != Slots; ++S) {
-      std::string C = std::to_string(Seed * (S + 1) % 101);
-      Ids[S] = In.internComponent(S, C, St);
-    }
-    return In.insertTuple(Ids, zobristTuple(Ids, Slots),
-                          stringNodeBytes(8, 0), St, Scratch);
-  };
-  for (uint32_t I = 0; I != 2000; ++I)
-    Insert(A, I);
-  LockFreeStateInterner Grown(Slots, 18);
-  A.migrateTo(Grown);
+  for (uint32_t I = 0; I != N; ++I)
+    insertModState(A, Slots, 101, I);
+  ASSERT_GE(A.grow(), 1u);
   BinWriter W;
-  Grown.save(W);
-  LockFreeStateInterner Restored(Slots, 18);
-  BinReader R(W.Buf);
-  ASSERT_TRUE(Restored.restore(R));
-  EXPECT_EQ(Restored.size(), Grown.size());
-  EXPECT_EQ(Restored.rawBytes(), Grown.rawBytes());
-  for (uint32_t I = 0; I != 2000; ++I)
-    EXPECT_FALSE(Insert(Restored, I)) << I;
-  // Restoring into the wrong capacity must be rejected (slot indices
-  // would not round-trip).
-  LockFreeStateInterner Wrong(Slots, 16);
+  A.save(W);
+  for (unsigned Log2 : {16u, 20u}) {
+    LockFreeStateInterner Restored(Slots, Log2);
+    BinReader R(W.Buf);
+    ASSERT_TRUE(Restored.restore(R)) << Log2;
+    EXPECT_FALSE(Restored.wantsGrowth()) << Log2;
+    EXPECT_EQ(Restored.size(), A.size()) << Log2;
+    EXPECT_EQ(Restored.rawBytes(), A.rawBytes()) << Log2;
+    EXPECT_EQ(Restored.bytesUsed(), A.bytesUsed()) << Log2;
+    for (uint32_t I = 0; I != N; ++I)
+      EXPECT_FALSE(insertModState(Restored, Slots, 101, I)) << I;
+    EXPECT_TRUE(insertModState(Restored, Slots, 1u << 20, 999'999)) << Log2;
+  }
+  // A different slot count is a different state format.
+  LockFreeStateInterner Wrong(Slots + 1, 16);
   BinReader R2(W.Buf);
   EXPECT_FALSE(Wrong.restore(R2));
 }
@@ -798,10 +867,10 @@ TEST(LockFreeVisited, TsoOracleIdenticalAcrossImpls) {
 
 TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
   // End-to-end growth: seqlock's 327k states cross the minimal initial
-  // table's 1/2-load trigger (2^16 roots grow at 2^15 states), the
-  // management thread rebuilds under pause — invalidating every
-  // worker's incremental-hash parent cache — and the verdict and counts
-  // still match a striped run exactly.
+  // root table's 1/2-load trigger again and again (2^16 roots double at
+  // 2^15, 2^16, 2^17 and 2^18 states); the management thread doubles
+  // the tables under pause while workers keep their cached parent ids,
+  // and the verdict and counts still match a striped run exactly.
   Program P = findCorpusEntry("seqlock").parse();
   RockerOptions Lf = implOpts(2, VisitedImpl::LockFree);
   Lf.MaxStates = 1'000'000;
@@ -817,5 +886,134 @@ TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
   EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates);
   EXPECT_TRUE(A.Complete);
   if (obs::telemetryEnabled())
-    EXPECT_GE(Growths, 1u);
+    EXPECT_GE(Growths, 3u);
+}
+
+namespace {
+
+std::string scratchCheckpoint(const std::string &Stem) {
+  return (std::filesystem::temp_directory_path() /
+          (Stem + "." + std::to_string(::getpid()) + ".rkcp"))
+      .string();
+}
+
+/// Removes a checkpoint file (and its tmp sibling) when the test ends.
+struct RemoveOnExit {
+  std::string Path;
+  ~RemoveOnExit() {
+    std::error_code Ec;
+    std::filesystem::remove(Path, Ec);
+    std::filesystem::remove(Path + ".tmp", Ec);
+  }
+};
+
+} // namespace
+
+TEST(LockFreeVisited, CheckpointAfterGrowthsResumesAtAnotherLog2) {
+  // A run cut after the tables doubled at least twice resumes under a
+  // different --visited-log2 with the uninterrupted run's counts:
+  // entries carry their ids, so no capacity has to round-trip.
+  Program P = findCorpusEntry("seqlock").parse();
+  RockerOptions Ref = implOpts(4, VisitedImpl::LockFree);
+  Ref.MaxStates = 1'000'000;
+  RockerReport Whole = checkRobustness(P, Ref);
+  ASSERT_TRUE(Whole.Complete);
+
+  RemoveOnExit Ckpt{scratchCheckpoint("lf-growth")};
+  RockerOptions Mid = Ref;
+  Mid.LockFreeLog2 = 16;
+  Mid.MaxStates = 100'000;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  obs::Snapshot Before = obs::snapshot();
+  RockerReport Cut = checkRobustness(P, Mid);
+  uint64_t Growths = obs::snapshot().counter(obs::Ctr::VisitedGrowths) -
+                     Before.counter(obs::Ctr::VisitedGrowths);
+  ASSERT_FALSE(Cut.Complete);
+  ASSERT_TRUE(std::filesystem::exists(Ckpt.Path));
+  if (obs::telemetryEnabled())
+    EXPECT_GE(Growths, 2u);
+
+  RockerOptions Fin = Ref;
+  Fin.LockFreeLog2 = 20;
+  Fin.Resilience.ResumePath = Ckpt.Path;
+  RockerReport R = checkRobustness(P, Fin);
+  ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
+      << R.Stats.Resilience.ResumeError;
+  EXPECT_TRUE(R.Stats.Resilience.Resumed);
+  EXPECT_TRUE(R.Complete);
+  EXPECT_EQ(R.Robust, Whole.Robust);
+  EXPECT_EQ(R.Stats.NumStates, Whole.Stats.NumStates);
+  EXPECT_EQ(R.Stats.NumTransitions, Whole.Stats.NumTransitions);
+  EXPECT_EQ(R.Stats.NumDeadlockStates, Whole.Stats.NumDeadlockStates);
+}
+
+TEST(LockFreeVisited, RetiredCheckpointTagsAreRejected) {
+  // Visited-set tags 3 and 4 held slot placements from when lock-free
+  // ids were slot indices. A checkpoint carrying one must be refused with
+  // its own error, not decoded as tables.
+  Program P = findCorpusEntry("peterson-ra").parse();
+  RemoveOnExit Ckpt{scratchCheckpoint("lf-retired")};
+  RockerOptions Mid = implOpts(4, VisitedImpl::LockFree);
+  Mid.MaxStates = 100;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  std::string Data;
+  {
+    std::ifstream In(Ckpt.Path, std::ios::binary);
+    Data.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  // Container header (magic, version, config hash, length, payload
+  // hash), then the payload up to the tag for a run without downgrades
+  // or violations: engine, rung and bitstate bytes; states, expansions,
+  // seconds and nine counters; the downgrade count; three checkpoint
+  // totals; the violation count.
+  const size_t HeaderBytes = 32;
+  const size_t TagAt = HeaderBytes + 3 + 12 * 8 + 1 + 3 * 8 + 1;
+  ASSERT_GT(Data.size(), TagAt);
+  ASSERT_EQ(Data[TagAt], 5) << "the payload layout moved the tag";
+  for (char Retired : {3, 4}) {
+    std::string Old = Data;
+    Old[TagAt] = Retired;
+    uint64_t Hash = hashBytes(
+        reinterpret_cast<const uint8_t *>(Old.data()) + HeaderBytes,
+        Old.size() - HeaderBytes);
+    std::memcpy(&Old[24], &Hash, sizeof(Hash));
+    {
+      std::ofstream Out(Ckpt.Path, std::ios::binary | std::ios::trunc);
+      Out << Old;
+    }
+    RockerOptions RO = implOpts(4, VisitedImpl::LockFree);
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError,
+              retiredLockFreeFormatError(Retired));
+    EXPECT_FALSE(R.Stats.Resilience.Resumed);
+    EXPECT_FALSE(R.Complete);
+    EXPECT_EQ(R.Stats.NumStates, 0u);
+  }
+}
+
+TEST(LockFreeVisited, GovernorChargesResidentTables) {
+  // Probing touches every page of a slot array, so the governor charges
+  // the lock-free tables at capacity. With --visited-log2 18 the root
+  // and node slot arrays alone hold 2^18 and 2^19 words (6 MiB); a
+  // budget between that floor and a generous bound on the stored bytes
+  // plus frontier must downgrade.
+  Program P = findCorpusEntry("lamport2-ra").parse();
+  RockerOptions O = implOpts(4, VisitedImpl::LockFree);
+  O.LockFreeLog2 = 18;
+  O.MaxStates = 30'000;
+  RockerReport Free = checkRobustness(P, O);
+  ASSERT_TRUE(Free.Stats.Resilience.Downgrades.empty());
+  const uint64_t Stored =
+      Free.Stats.VisitedBytes + Free.Stats.PeakFrontier * 16 * 1024;
+  const uint64_t ResidentFloor = ((uint64_t{1} << 18) + (1u << 19)) * 8;
+  ASSERT_LT(Stored, ResidentFloor);
+  O.Resilience.MemBudgetBytes = (Stored + ResidentFloor) / 2;
+  RockerReport R = checkRobustness(P, O);
+  const resilience::ResilienceReport &RR = R.Stats.Resilience;
+  ASSERT_GE(RR.Downgrades.size(), 1u);
+  EXPECT_EQ(RR.Downgrades[0].To, resilience::StorageRung::Bitstate);
+  EXPECT_GE(RR.Downgrades[0].UsedBytes, ResidentFloor);
+  EXPECT_TRUE(R.Approximate);
 }
