@@ -44,8 +44,8 @@
 #include "lang/Step.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
-#include "support/BinCodec.h"
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -133,16 +133,17 @@ struct ExpandStep {
   uint16_t Collapsed = 0; ///< Local steps: ε-instructions folded in.
 };
 
-/// True when \p MemSys provides the fixed-length checkpoint codec
-/// (encodeState/decodeState) the resilience layer needs to serialize
-/// frontier payloads. Subsystems without it still run under memory/time
-/// budgets; --checkpoint/--resume are rejected for them.
+/// True when \p MemSys's serialization has a fixed length and an inverse
+/// (stateKeyBytes/decodeState), so a state key doubles as a payload: the
+/// sequential engine keeps its frontier as keys (explore/KeyFrontier.h)
+/// and both engines checkpoint frontier states as keys. Subsystems without
+/// it keep ProductState payloads and still run under memory/time budgets;
+/// --checkpoint/--resume are rejected for them.
 template <typename MemSys>
 concept HasStateCodec =
-    requires(const MemSys &M, const typename MemSys::State &S,
-             std::string &Out, BinReader &R, typename MemSys::State &Mut) {
-      M.encodeState(S, Out);
-      M.decodeState(R, Mut);
+    requires(const MemSys &M, const char *P, typename MemSys::State &S) {
+      { M.stateKeyBytes() } -> std::convertible_to<size_t>;
+      { M.decodeState(P, S) } -> std::same_as<const char *>;
     };
 
 template <typename MemSys> class ExpansionCore {
@@ -175,21 +176,22 @@ public:
 
   const PorAnalysis &por() const { return Por; }
 
-  /// Bytes one frontier payload holds, estimated once per run from \p S
-  /// (thread and memory state sizes are program-constant for every
-  /// subsystem here). The memory governor charges it per frontier state
-  /// against --mem-budget. The memory state counts at its checkpoint
-  /// codec length, i.e. every byte it stores, when the subsystem has the
-  /// codec, and at twice its serialization plus 32 bytes otherwise.
+  /// Resident bytes of one ProductState payload, estimated once per run
+  /// from \p S (thread and memory state sizes are program-constant for
+  /// every subsystem here): the object, each thread's registers, and the
+  /// memory state's heap buffer — its heapBytes() when it reports one,
+  /// else twice its serialization plus 32 bytes. The memory governor
+  /// charges it per frontier state against --mem-budget wherever the
+  /// frontier holds ProductStates; the sequential engine's key frontier
+  /// charges KeyFrontier::entryBytes instead.
   uint64_t payloadBytes(const ProductState &S) const {
     uint64_t B = sizeof(ProductState);
     for (const ThreadState &TS : S.Threads)
       B += sizeof(ThreadState) + TS.Regs.capacity() * sizeof(TS.Regs[0]);
-    std::string MemBytes;
-    if constexpr (HasStateCodec<MemSys>) {
-      Mem.encodeState(S.M, MemBytes);
-      return B + MemBytes.size();
+    if constexpr (requires { S.M.heapBytes(); }) {
+      return B + S.M.heapBytes();
     } else {
+      std::string MemBytes;
       Mem.serialize(S.M, MemBytes);
       return B + 2 * MemBytes.size() + 32;
     }

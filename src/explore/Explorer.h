@@ -28,10 +28,15 @@
 /// reachable program-state projections (used by the state-robustness
 /// oracles), and the resilience governor.
 ///
-/// Full state payloads live only in the frontier (BFS queue or DFS
-/// stack) and are dropped once expanded: after that a state exists only
-/// as its visited-set entry and, with RecordParents, a fixed-size trace
-/// edge from which the step text is rendered when a trace is printed.
+/// State payloads live only in the frontier (BFS queue or DFS stack)
+/// and are dropped once expanded: after that a state exists only as its
+/// visited-set entry and, with RecordParents, a fixed-size trace edge from
+/// which the step text is rendered when a trace is printed. For
+/// subsystems whose key decodes (HasStateCodec: SCM, SC) a frontier entry
+/// is the state's key, the bytes the visited probe built, and is decoded
+/// into one reused ProductState when popped (explore/KeyFrontier.h);
+/// checkpoints write those keys verbatim. Other subsystems keep
+/// ProductStates in the frontier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +44,7 @@
 #define ROCKER_EXPLORE_EXPLORER_H
 
 #include "explore/Expand.h"
+#include "explore/KeyFrontier.h"
 #include "lang/Printer.h"
 #include "lang/Program.h"
 #include "lang/Step.h"
@@ -283,7 +289,18 @@ public:
     for (const SequentialProgram &S : P.Threads)
       Init.Threads.push_back(ThreadState::initial(S));
     Init.M = Mem.initial();
-    PayloadUnit = Core.payloadBytes(Init);
+    // The governor charges each frontier entry at its size: a key entry
+    // or a resident ProductState.
+    if constexpr (HasCodec)
+      PayloadUnit = KeyFrontier::entryBytes(
+          productStateKey(Mem, Init.Threads, Init.M).size());
+    else
+      PayloadUnit = Core.payloadBytes(Init);
+    // Key entries are decoded into this state when popped; its threads
+    // keep their register vectors across decodes.
+    ProductState Cur;
+    if constexpr (HasCodec)
+      Cur.Threads = Init.Threads;
 
     bool Ready = true;
     if constexpr (HasCodec) {
@@ -334,13 +351,24 @@ public:
           std::max(Res.Stats.PeakFrontier,
                    static_cast<uint64_t>(Frontier.size()));
       const bool Bfs = Opts.Order == SearchOrder::BFS;
-      Pending Cur = Bfs ? std::move(Frontier.front())
-                        : std::move(Frontier.back());
-      if (Bfs)
-        Frontier.pop_front();
-      else
-        Frontier.pop_back();
-      expand(Cur.Id, Cur.S, Res, Hook, SHook);
+      if constexpr (HasCodec) {
+        KeyFrontier::Entry E = Bfs ? Frontier.front() : Frontier.back();
+        uint64_t Id = E.Id;
+        decodeProductStateKey(Mem, E.Key.data(), Cur.Threads, Cur.M);
+        if (Bfs)
+          Frontier.popFront();
+        else
+          Frontier.popBack();
+        expand(Id, Cur, Res, Hook, SHook);
+      } else {
+        Pending Next = Bfs ? std::move(Frontier.front())
+                           : std::move(Frontier.back());
+        if (Bfs)
+          Frontier.pop_front();
+        else
+          Frontier.pop_back();
+        expand(Next.Id, Next.S, Res, Hook, SHook);
+      }
       fi::maybeKill("explore.expand");
       if ((++Expanded & 1023) == 0)
         publishProgress(Res, Frontier.size());
@@ -457,7 +485,8 @@ private:
     Label L{};
   };
 
-  /// An unexpanded state: its id (discovery index) and payload.
+  /// An unexpanded state of a subsystem without a key decoder: its id
+  /// (discovery index) and payload.
   struct Pending {
     uint64_t Id = 0;
     ProductState S;
@@ -499,35 +528,36 @@ private:
       Bitstate[B1 / 64] |= static_cast<uint64_t>(1) << (B1 % 64);
       Bitstate[B2 / 64] |= static_cast<uint64_t>(1) << (B2 % 64);
       RawVisitedBytes += stringNodeBytes(Key.size(), sizeof(uint64_t));
-      return finishNew(std::move(S), Res, SHook);
+      return finishNew(std::move(S), Key, Res, SHook);
     }
 
     if (Interner) {
       // Intern per-thread and memory components, then the id tuple. The
-      // component bytes are exactly productStateKey's (permuted per
-      // SlotOrder), so the tuple is new iff the raw key would have been.
+      // components are cut from one buffer that ends up holding exactly
+      // productStateKey (each component goes to its SlotOrder slot), so
+      // the tuple is new iff the raw key would have been.
       TupleBuf.resize(Interner->numSlots());
-      CompBuf.clear();
-      uint64_t RawLen = 0;
+      KeyBuf.clear();
+      size_t Start = 0;
       unsigned Idx = 0;
       auto Cut = [&] {
-        RawLen += CompBuf.size();
         unsigned Slot = SlotOrder[Idx++];
-        TupleBuf[Slot] = Interner->internComponent(Slot, CompBuf);
-        CompBuf.clear();
+        TupleBuf[Slot] = Interner->internComponent(
+            Slot, std::string_view(KeyBuf).substr(Start));
+        Start = KeyBuf.size();
       };
       for (const ThreadState &TS : S.Threads) {
-        appendThreadStateKey(CompBuf, TS);
+        appendThreadStateKey(KeyBuf, TS);
         Cut();
       }
-      serializeMemComponents(Mem, S.M, CompBuf, Cut);
+      serializeMemComponents(Mem, S.M, KeyBuf, Cut);
       auto [Id, New] = Interner->insertTuple(
-          TupleBuf.data(), stringNodeBytes(RawLen, sizeof(uint64_t)));
+          TupleBuf.data(), stringNodeBytes(KeyBuf.size(), sizeof(uint64_t)));
       if (!New) {
         ++Res.Stats.DedupHits;
         return Id; // Dense tuple ids coincide with state ids.
       }
-      return finishNew(std::move(S), Res, SHook);
+      return finishNew(std::move(S), KeyBuf, Res, SHook);
     }
 
     std::string Key = productStateKey(Mem, S.Threads, S.M);
@@ -538,14 +568,15 @@ private:
       return It->second;
     }
     RawVisitedBytes += stringNodeBytes(KeyLen, sizeof(uint64_t));
-    return finishNew(std::move(S), Res, SHook);
+    return finishNew(std::move(S), It->first, Res, SHook);
   }
 
   /// Common tail for newly visited states: record the program-state
-  /// projection, run the state hook, and schedule the state.
+  /// projection, run the state hook, and schedule the state (\p Key is
+  /// its productStateKey, the frontier entry when keys decode).
   template <typename StateHook>
-  uint64_t finishNew(ProductState &&S, ExploreResult &Res,
-                     StateHook &SHook) {
+  uint64_t finishNew(ProductState &&S, std::string_view Key,
+                     ExploreResult &Res, StateHook &SHook) {
     uint64_t Id = NumStored++;
     if (Opts.CollectProgramStates)
       Res.ProgramStates.insert(programStateKey(S.Threads));
@@ -555,7 +586,10 @@ private:
     }
     if (Opts.RecordParents)
       Parents.emplace_back();
-    Frontier.push_back(Pending{Id, std::move(S)});
+    if constexpr (HasCodec)
+      Frontier.push(Id, Key);
+    else
+      Frontier.push_back(Pending{Id, std::move(S)});
     return Id;
   }
 
@@ -585,10 +619,12 @@ private:
   }
 
   /// Records the edge that discovered \p Child when it is the state just
-  /// interned (ids are discovery indices; the root has no edge).
+  /// interned (ids are discovery indices; the root has no edge). A step
+  /// from the newest state back to itself is a dedup hit, not a
+  /// discovery: its edge would make trace() loop.
   void link(uint64_t Child, const ParentEdge &E) {
     if (Child == NoId || !Opts.RecordParents || Child != NumStored - 1 ||
-        Child == 0)
+        Child == 0 || Child == E.Parent)
       return;
     Parents[Child] = E;
   }
@@ -799,32 +835,6 @@ private:
                      S.size());
   }
 
-  void encodeProductState(BinWriter &W, const ProductState &S) const {
-    if constexpr (HasCodec) {
-      for (const ThreadState &TS : S.Threads) {
-        W.varu64(TS.Pc);
-        W.bytes(TS.Regs.data(), TS.Regs.size());
-      }
-      Mem.encodeState(S.M, W.Buf);
-    }
-  }
-
-  bool decodeProductState(BinReader &R, ProductState &S) const {
-    if constexpr (HasCodec) {
-      S.Threads.clear();
-      S.Threads.reserve(P.numThreads());
-      for (const SequentialProgram &SP : P.Threads) {
-        // Regs length comes from the program, not the stream.
-        ThreadState TS = ThreadState::initial(SP);
-        TS.Pc = static_cast<uint32_t>(R.varu64());
-        R.bytes(TS.Regs.data(), TS.Regs.size());
-        S.Threads.push_back(std::move(TS));
-      }
-      return Mem.decodeState(R, S.M) && !R.fail();
-    }
-    return false;
-  }
-
   /// Serializes the full resumable run state and writes it crash-safely
   /// (resilience/Checkpoint.h: tmp + fsync + atomic rename).
   void writeCheckpoint(ExploreResult &Res, uint64_t Expanded,
@@ -887,13 +897,13 @@ private:
           W.u64(KV.second);
         }
       }
-      // Frontier payloads; DFS stack entries carry their ids.
+      // Frontier keys, verbatim; DFS stack entries carry their ids.
       W.u64(Frontier.size());
-      for (const Pending &F : Frontier) {
+      Frontier.forEach([&](const KeyFrontier::Entry &E) {
         if (Opts.Order == SearchOrder::DFS)
-          W.u64(F.Id);
-        encodeProductState(W, F.S);
-      }
+          W.u64(E.Id);
+        W.str(E.Key);
+      });
       if (Opts.RecordParents)
         for (const ParentEdge &E : Parents) {
           W.varu64(E.Parent);
@@ -1031,14 +1041,21 @@ private:
         RR.ResumeError = "corrupt checkpoint: frontier shape";
         return false;
       }
+      // Each key must decode and re-serialize to itself before it is
+      // trusted to the unchecked decoder at pop time.
+      ProductState Check;
+      for (const SequentialProgram &SP : P.Threads)
+        Check.Threads.push_back(ThreadState::initial(SP));
       for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
-        Pending F;
-        F.Id = Bfs ? Cursor + I : R.u64();
-        if (F.Id >= N || !decodeProductState(R, F.S)) {
+        uint64_t Id = Bfs ? Cursor + I : R.u64();
+        std::string Key = R.str();
+        if (R.fail() || Id >= N ||
+            !decodeProductStateKeyChecked(Mem, Key, Check.Threads,
+                                          Check.M)) {
           RR.ResumeError = "corrupt checkpoint: frontier state";
           return false;
         }
-        Frontier.push_back(std::move(F));
+        Frontier.push(Id, Key);
       }
       if (Opts.RecordParents) {
         Parents.clear();
@@ -1093,14 +1110,14 @@ private:
   ExpandScratch Scratch;      ///< The core's buffers and POR counters.
   /// Discovered-but-unexpanded states, in discovery order: BFS pops the
   /// front, DFS the back. No other payloads are kept.
-  std::deque<Pending> Frontier;
+  std::conditional_t<HasCodec, KeyFrontier, std::deque<Pending>> Frontier;
   uint64_t NumStored = 0; ///< States interned so far; the next state's id.
   std::vector<ParentEdge> Parents; ///< Trace edges, indexed by state id.
   /// Raw visited map (CompressVisited off and no bitstate hashing).
   std::unordered_map<std::string, uint64_t, StateKeyHash> Visited;
   /// Compressed visited set (engaged when CompressVisited is on).
   std::optional<StateInterner> Interner;
-  std::string CompBuf;            ///< Scratch: current component bytes.
+  std::string KeyBuf;             ///< Scratch: the key being interned.
   std::vector<uint32_t> TupleBuf; ///< Scratch: current id tuple.
   std::vector<uint32_t> SlotOrder; ///< Emission index → tuple slot.
   uint64_t RawVisitedBytes = 0;   ///< Raw-key byte accounting.
@@ -1111,7 +1128,7 @@ private:
 
   // Resilience state (see the helper block above).
   resilience::StorageRung Rung = resilience::StorageRung::Exact;
-  uint64_t PayloadUnit = 0;     ///< Estimated bytes per frontier payload.
+  uint64_t PayloadUnit = 0;     ///< Estimated bytes per frontier entry.
   uint64_t CfgHash = 0;         ///< Checkpoint compatibility hash.
   uint64_t GovMask = 255;      ///< Expansions between governor ticks - 1.
   uint64_t NextCkptExpansions = 0; ///< Count-based checkpoint trigger.

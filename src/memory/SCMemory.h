@@ -19,7 +19,6 @@
 
 #include "lang/Program.h"
 #include "lang/Step.h"
-#include "support/BinCodec.h"
 
 #include <string>
 #include <vector>
@@ -75,16 +74,13 @@ public:
     Out.append(reinterpret_cast<const char *>(S.data()), S.size());
   }
 
-  /// Checkpoint codec (resilience layer): the state is exactly its value
-  /// vector, whose length is fixed by the program.
-  void encodeState(const State &S, std::string &Out) const {
-    Out.append(reinterpret_cast<const char *>(S.data()), S.size());
-  }
+  /// The state is exactly its value vector, so its key has a fixed
+  /// length and decodes by copying it back.
+  size_t stateKeyBytes() const { return NumLocs; }
 
-  bool decodeState(BinReader &R, State &S) const {
-    S.assign(NumLocs, 0);
-    R.bytes(S.data(), NumLocs);
-    return !R.fail();
+  const char *decodeState(const char *P, State &S) const {
+    S.assign(P, P + NumLocs);
+    return P + NumLocs;
   }
 
 private:

@@ -38,18 +38,30 @@ SCMonitor::SCMonitor(const Program &P, bool Abstract)
           PackInBytes, 8 - unsigned(__builtin_clzll(Crit[Y].mask())) / 8);
   }
   if (Abstract) {
+    for (const ValColumn &Col : ValCols)
+      PackOutBytes = std::max(PackOutBytes, (Crit[Col.Loc].size() + 7) / 8);
     PackTab.assign(ValCols.size() * PackInBytes * 256, 0);
+    UnpackTab.assign(ValCols.size() * PackOutBytes * 256, 0);
     for (size_t C = 0; C != ValCols.size(); ++C) {
       unsigned Rank = 0;
       for (unsigned V : Crit[ValCols[C].Loc]) {
         uint64_t *Tab = PackTab.data() + (C * PackInBytes + V / 8) * 256;
-        for (unsigned Byte = 0; Byte != 256; ++Byte)
+        uint64_t *Untab =
+            UnpackTab.data() + (C * PackOutBytes + Rank / 8) * 256;
+        for (unsigned Byte = 0; Byte != 256; ++Byte) {
           if (Byte >> (V % 8) & 1)
             Tab[Byte] |= uint64_t{1} << Rank;
+          if (Byte >> (Rank % 8) & 1)
+            Untab[Byte] |= uint64_t{1} << V;
+        }
         ++Rank;
       }
     }
   }
+  // Decoding keeps only bits of real elements, so a key with stray bits
+  // (from outside the process) does not serialize back to itself.
+  LocMask = BitSet64::allBelow(NumLocs).mask();
+  ValMask = BitSet64::allBelow(NumVals).mask();
   size_t SummaryBytes = Abstract ? 2 * LocBytes : 0;
   GlobalBytes = NumLocs + 2 * size_t(NumLocs) * LocBytes +
                 2 * NumLocs * ValRowBytes + NumLocs * SummaryBytes;
@@ -441,21 +453,95 @@ void SCMonitor::serialize(const State &S, std::string &Out) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Checkpoint codec
+// Deserialization
 //===----------------------------------------------------------------------===//
+//
+// The readers walk the same fixed offsets as the writers. Each set is one
+// whole-word load masked to its bytes (in abstract mode, one UnpackTab
+// lookup per packed byte), so a read may run up to 8 bytes past the key.
 
-void SCMonitor::encodeState(const State &S, std::string &Out) const {
-  std::span<const BitSet64> Masks = S.masks();
-  Out.append(reinterpret_cast<const char *>(S.M.data()), S.M.size());
-  Out.append(reinterpret_cast<const char *>(Masks.data()), Masks.size_bytes());
+namespace {
+
+/// Loads the little-endian word at \p P.
+inline uint64_t get(const char *P) {
+  uint64_t Bits;
+  std::memcpy(&Bits, P, sizeof(Bits));
+  if constexpr (std::endian::native == std::endian::big)
+    Bits = __builtin_bswap64(Bits);
+  return Bits;
 }
 
-bool SCMonitor::decodeState(BinReader &R, State &S) const {
-  // All lengths are fixed by the program dimensions + the abstraction
-  // flag, so nothing is length-prefixed.
-  S = State(NumThreads, NumLocs, Abstract);
-  std::span<BitSet64> Masks = S.masks();
-  R.bytes(S.M.data(), S.M.size());
-  R.bytes(Masks.data(), Masks.size_bytes());
-  return !R.fail();
+/// Reads each set of \p Sets from \p Bytes bytes.
+const char *getSets(SCMField<BitSet64> &Sets, unsigned Bytes, uint64_t Mask,
+                    const char *P) {
+  for (BitSet64 &B : Sets) {
+    B = BitSet64::fromMask(get(P) & Mask);
+    P += Bytes;
+  }
+  return P;
+}
+
+} // namespace
+
+const char *SCMonitor::readValRow(BitSet64 *Row, const char *P) const {
+  // Locations whose sets take no bytes (abstract mode: no critical
+  // values) have no column; their sets are empty.
+  if (ValCols.size() != NumLocs)
+    std::fill(Row, Row + NumLocs, BitSet64());
+  const ValColumn *Col = ValCols.data(), *End = Col + ValCols.size();
+  if (!Abstract) {
+    uint64_t Mask = ValMask;
+    for (; Col != End; ++Col)
+      Row[Col->Loc] = BitSet64::fromMask(get(P + Col->Offset) & Mask);
+    return P + ValRowBytes;
+  }
+  const uint64_t *Tab = UnpackTab.data();
+  unsigned OutBytes = PackOutBytes;
+  for (; Col != End; ++Col) {
+    uint64_t Packed = get(P + Col->Offset), Bits = 0;
+    for (unsigned K = 0; K != OutBytes; ++K, Tab += 256)
+      Bits |= Tab[(Packed >> (8 * K)) & 0xff];
+    Row[Col->Loc] = BitSet64::fromMask(Bits);
+  }
+  return P + ValRowBytes;
+}
+
+const char *SCMonitor::readGlobal(State &S, const char *P) const {
+  unsigned L = NumLocs, LB = LocBytes;
+  uint64_t Mask = LocMask;
+  std::memcpy(S.M.data(), P, L);
+  P += L;
+  P = getSets(S.MSC, LB, Mask, P);
+  P = getSets(S.WSC, LB, Mask, P);
+  for (BitSet64 *Row = S.W.data(), *End = Row + S.W.size(); Row != End;
+       Row += L)
+    P = readValRow(Row, P);
+  for (BitSet64 *Row = S.WRmw.data(), *End = Row + S.WRmw.size(); Row != End;
+       Row += L)
+    P = readValRow(Row, P);
+  P = getSets(S.CW, LB, Mask, P);
+  return getSets(S.CWRmw, LB, Mask, P);
+}
+
+const char *SCMonitor::readThread(State &S, unsigned T, const char *P) const {
+  unsigned LB = LocBytes;
+  uint64_t Mask = LocMask;
+  S.VSC[T] = BitSet64::fromMask(get(P) & Mask);
+  P = readValRow(&S.V[T * NumLocs], P + LB);
+  P = readValRow(&S.VRmw[T * NumLocs], P);
+  if (Abstract) {
+    S.CV[T] = BitSet64::fromMask(get(P) & Mask);
+    S.CVRmw[T] = BitSet64::fromMask(get(P + LB) & Mask);
+    P += 2 * LB;
+  }
+  return P;
+}
+
+const char *SCMonitor::decodeState(const char *P, State &S) const {
+  if (!S.hasShape(NumThreads, NumLocs, Abstract))
+    S = State(NumThreads, NumLocs, Abstract);
+  P = readGlobal(S, P);
+  for (unsigned T = 0; T != NumThreads; ++T)
+    P = readThread(S, T, P);
+  return P;
 }

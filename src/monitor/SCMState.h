@@ -37,7 +37,9 @@
 /// (the bit-set tables back to back, then M) with the components as
 /// views into it, and its visited-set key has a fixed layout: SCMonitor
 /// precomputes every chunk's length and every set's offset, and writes
-/// each chunk through a pointer into a buffer sized once.
+/// each chunk through a pointer into a buffer sized once. That key is the
+/// monitor's one byte format: decodeState inverts it, so the visited set,
+/// the sequential frontier and checkpoints all hold the same bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +49,6 @@
 #include "lang/CriticalValues.h"
 #include "lang/Program.h"
 #include "lang/Step.h"
-#include "support/BinCodec.h"
 #include "support/BitSet64.h"
 
 #include <algorithm>
@@ -55,7 +56,6 @@
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -165,10 +165,14 @@ struct SCMState {
     return *this;
   }
 
-  /// The bit-set tables VSC … CWRmw as one contiguous run (the
-  /// checkpoint codec copies it in bulk).
-  std::span<BitSet64> masks() { return {Buf.get(), maskCount()}; }
-  std::span<const BitSet64> masks() const { return {Buf.get(), maskCount()}; }
+  /// Whether this state has the buffer layout of the given dimensions.
+  bool hasShape(unsigned NumThreads, unsigned NumLocs, bool Abstract) const {
+    return Words && Threads == NumThreads && Locs == NumLocs &&
+           Abs == Abstract;
+  }
+
+  /// Bytes of the heap buffer (the object itself not included).
+  size_t heapBytes() const { return Words * sizeof(BitSet64); }
 
   friend bool operator==(const SCMState &A, const SCMState &B) {
     return A.Threads == B.Threads && A.Locs == B.Locs && A.Abs == B.Abs &&
@@ -193,8 +197,6 @@ private:
     return N ? static_cast<BitSet64 *>(::operator new(N * sizeof(BitSet64)))
              : nullptr;
   }
-
-  size_t maskCount() const { return Words ? numMasks(Threads, Locs, Abs) : 0; }
 
   /// Points the named views at this state's buffer.
   void bind() {
@@ -359,12 +361,18 @@ public:
     return ~uint64_t{0};
   }
 
-  /// Checkpoint codec (resilience layer): all field lengths are fixed by
-  /// the program dimensions + the abstraction flag, so the encoding is
-  /// the value bytes of M followed by the state's bit-set tables copied
-  /// in bulk (each set as its raw 64-bit mask, VSC first, CWRmw last).
-  void encodeState(const State &S, std::string &Out) const;
-  bool decodeState(BinReader &R, State &S) const;
+  /// Length of every key serialize() writes (fixed per program).
+  size_t stateKeyBytes() const {
+    return GlobalBytes + NumThreads * ThreadBytes;
+  }
+
+  /// The inverse of serialize(): reads the key at \p P into \p S
+  /// (reshaping \p S first when it has another layout) and returns the
+  /// key's end. decodeState(serialize(S)) == S for every state the
+  /// transitions reach, whose value sets hold only values below |Val| —
+  /// in abstract mode only critical values. It loads whole 64-bit words,
+  /// so up to 8 bytes past the key are read and must exist.
+  const char *decodeState(const char *P, State &S) const;
 
   /// Theorem 5.3 (+ Section 5.1 additions): does thread \p T's pending
   /// access witness non-robustness in state \p S?
@@ -401,6 +409,10 @@ private:
   /// Writes a row of value sets indexed by location: each set as its raw
   /// mask, or in abstract mode as its packed critical-value bits.
   char *writeValRow(const BitSet64 *Row, char *P) const;
+  // decodeState's chunk readers, the writers' inverses.
+  const char *readGlobal(State &S, const char *P) const;
+  const char *readThread(State &S, unsigned T, const char *P) const;
+  const char *readValRow(BitSet64 *Row, const char *P) const;
 
   unsigned NumThreads;
   unsigned NumLocs;
@@ -423,6 +435,13 @@ private:
   /// Abstract mode, [(C * PackInBytes + K) * 256 + Byte]: the packed
   /// critical-value bits of mask byte K of a value set of column C.
   std::vector<uint64_t> PackTab;
+  unsigned PackOutBytes = 0;       ///< Abstract: widest packed value set.
+  /// Abstract mode, [(C * PackOutBytes + K) * 256 + Byte]: the mask bits
+  /// of packed byte K of a value set of column C (zero for the bytes of
+  /// the next column when C packs into fewer than PackOutBytes).
+  std::vector<uint64_t> UnpackTab;
+  uint64_t LocMask;                ///< Decoding: the bits of locations.
+  uint64_t ValMask;                ///< Decoding, full mode: value bits.
   size_t GlobalBytes;              ///< Length of chunk 0.
   size_t ThreadBytes;              ///< Length of each per-thread chunk.
 };

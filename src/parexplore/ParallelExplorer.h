@@ -876,29 +876,21 @@ private:
                      S.size());
   }
 
+  /// Checkpoint codec for deque payloads: each state is written as its
+  /// key (support/StateKey.h), the sequential engine's frontier format.
   void encodeProductState(BinWriter &W, const ProductState &S) const {
-    if constexpr (HasCodec) {
-      for (const ThreadState &TS : S.Threads) {
-        W.varu64(TS.Pc);
-        W.bytes(TS.Regs.data(), TS.Regs.size() * sizeof(TS.Regs[0]));
-      }
-      Mem.encodeState(S.M, W.Buf);
-    }
+    if constexpr (HasCodec)
+      W.str(productStateKey(Mem, S.Threads, S.M));
   }
 
   bool decodeProductState(BinReader &R, ProductState &S) const {
     if constexpr (HasCodec) {
       S.Threads.clear();
-      S.Threads.reserve(P.numThreads());
-      for (const SequentialProgram &SP : P.Threads) {
-        ThreadState TS = ThreadState::initial(SP);
-        TS.Pc = R.varu64();
-        R.bytes(TS.Regs.data(), TS.Regs.size() * sizeof(TS.Regs[0]));
-        S.Threads.push_back(std::move(TS));
-      }
-      S.M = Mem.initial();
-      Mem.decodeState(R, S.M);
-      return !R.fail();
+      for (const SequentialProgram &SP : P.Threads)
+        S.Threads.push_back(ThreadState::initial(SP));
+      std::string Key = R.str();
+      return !R.fail() &&
+             decodeProductStateKeyChecked(Mem, Key, S.Threads, S.M);
     }
     return false;
   }

@@ -9,7 +9,7 @@
 /// File layout (all little-endian):
 ///
 ///   u32  magic      "RKCP"
-///   u32  version    container format version (currently 2)
+///   u32  version    container format version (currently 3)
 ///   u64  configHash hash of program text + semantic options + initial
 ///                   memory state; a resume whose hash differs is rejected
 ///                   as stale before any payload is decoded
@@ -39,8 +39,9 @@ namespace rocker::ckpt {
 
 /// Container format version; bumped on any layout change so old files are
 /// rejected instead of misdecoded. Version 2: sequential trace edges store
-/// (pc, collapse count) instead of rendered step text.
-constexpr uint32_t FormatVersion = 2;
+/// (pc, collapse count) instead of rendered step text. Version 3: frontier
+/// states are stored as their length-prefixed state keys.
+constexpr uint32_t FormatVersion = 3;
 
 /// Writes \p Payload to \p Path crash-safely (tmp + fsync + rename +
 /// parent-directory fsync; without the final directory fsync a power loss

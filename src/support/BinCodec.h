@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace rocker {
 
@@ -43,7 +44,7 @@ public:
   }
 
   /// Length-prefixed byte string.
-  void str(const std::string &S) {
+  void str(std::string_view S) {
     varu64(S.size());
     Buf.append(S);
   }

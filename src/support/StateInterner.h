@@ -191,7 +191,7 @@ public:
   ByteArena() : Index(64, 0) {}
 
   /// Interns \p Bytes; returns {dense id, was-new}.
-  std::pair<uint32_t, bool> insert(const std::string &Bytes) {
+  std::pair<uint32_t, bool> insert(std::string_view Bytes) {
     if ((Num + 1) * 10 >= Index.size() * 7) // Load factor cap 0.7.
       grow();
     uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Bytes.data()),
@@ -663,7 +663,7 @@ public:
   unsigned numSlots() const { return static_cast<unsigned>(Slots.size()); }
 
   /// Hash-conses \p Bytes into slot \p Slot; returns its component id.
-  uint32_t internComponent(unsigned Slot, const std::string &Bytes) {
+  uint32_t internComponent(unsigned Slot, std::string_view Bytes) {
     return Slots[Slot].insert(Bytes).first;
   }
 

@@ -16,6 +16,11 @@
 /// and each thread's register count is fixed per program, so the
 /// concatenated key remains uniquely decodable (injective).
 ///
+/// For memory subsystems whose serialization has a fixed length and an
+/// inverse (SCM, SC), the key is also a payload: the sequential engine
+/// keeps its frontier as keys and both engines checkpoint frontier states
+/// as keys, decoding them here.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ROCKER_SUPPORT_STATEKEY_H
@@ -23,8 +28,10 @@
 
 #include "lang/Step.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rocker {
@@ -68,6 +75,61 @@ std::string productStateKey(const MemSys &Mem,
     appendThreadStateKey(Key, TS);
   Mem.serialize(M, Key);
   return Key;
+}
+
+/// Bytes past the end of a key that decodeProductStateKey may read: the
+/// memory decoders load whole 64-bit words.
+constexpr size_t KeySlack = sizeof(uint64_t);
+
+/// The inverse of productStateKey for a subsystem with a fixed-length key
+/// decoder (MemSys::decodeState): reads the key at \p P into \p Threads,
+/// which must already hold one ThreadState per thread with its registers
+/// sized, and \p M. Returns the key's end. The key must be well formed
+/// (one the process wrote), and KeySlack bytes past it must be readable.
+template <typename MemSys>
+const char *decodeProductStateKey(const MemSys &Mem, const char *P,
+                                  std::vector<ThreadState> &Threads,
+                                  typename MemSys::State &M) {
+  for (ThreadState &TS : Threads) {
+    uint32_t Pc = 0;
+    for (unsigned Shift = 0;; Shift += 7) {
+      uint8_t B = static_cast<uint8_t>(*P++);
+      Pc |= static_cast<uint32_t>(B & 0x7f) << Shift;
+      if (!(B & 0x80))
+        break;
+    }
+    TS.Pc = Pc;
+    std::copy_n(P, TS.Regs.size(), TS.Regs.begin());
+    P += TS.Regs.size();
+  }
+  return Mem.decodeState(P, M);
+}
+
+/// decodeProductStateKey for a key from outside the process (a
+/// checkpoint). Returns false unless \p Key is exactly one well-formed
+/// key: each pc is a varint of at most five bytes inside the key, the
+/// memory part has the subsystem's key length, and the decoded state
+/// serializes back to \p Key.
+template <typename MemSys>
+bool decodeProductStateKeyChecked(const MemSys &Mem, std::string_view Key,
+                                  std::vector<ThreadState> &Threads,
+                                  typename MemSys::State &M) {
+  size_t Pos = 0;
+  for (const ThreadState &TS : Threads) {
+    size_t Len = 1;
+    while (Pos + Len <= Key.size() && Len <= 5 &&
+           (static_cast<uint8_t>(Key[Pos + Len - 1]) & 0x80))
+      ++Len;
+    if (Len > 5 || Pos + Len > Key.size())
+      return false;
+    Pos += Len + TS.Regs.size();
+  }
+  if (Pos > Key.size() || Key.size() - Pos != Mem.stateKeyBytes())
+    return false;
+  std::string Padded(Key);
+  Padded.append(KeySlack, '\0');
+  decodeProductStateKey(Mem, Padded.data(), Threads, M);
+  return productStateKey(Mem, Threads, M) == Key;
 }
 
 } // namespace rocker

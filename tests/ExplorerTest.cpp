@@ -1,6 +1,7 @@
 //===- tests/ExplorerTest.cpp - Product explorer unit tests -----------------===//
 
 #include "explore/Explorer.h"
+#include "explore/KeyFrontier.h"
 #include "lang/Parser.h"
 #include "memory/SCMemory.h"
 
@@ -133,4 +134,49 @@ thread b
   ProductExplorer<SCMemory> Ex2(P, M, O);
   ExploreResult R2 = Ex2.run();
   EXPECT_EQ(R2.Violations.size(), 1u);
+}
+
+TEST(KeyFrontier, QueueAndStackOrderAcrossBlocks) {
+  // Keys of every length up to past a block, so entries straddle block
+  // ends and some need a block of their own.
+  auto KeyOf = [](uint64_t I) {
+    size_t Len = I % 7 == 0 ? KeyFrontier::BlockBytes + I : I * 37 % 5000;
+    return std::string(Len, static_cast<char>('a' + I % 26));
+  };
+  const uint64_t N = 200;
+  KeyFrontier F;
+  for (uint64_t I = 0; I != N; ++I)
+    F.push(I, KeyOf(I));
+  EXPECT_EQ(F.size(), N);
+  uint64_t Seen = 0;
+  F.forEach([&](const KeyFrontier::Entry &E) {
+    EXPECT_EQ(E.Id, Seen);
+    EXPECT_EQ(E.Key, KeyOf(Seen));
+    ++Seen;
+  });
+  EXPECT_EQ(Seen, N);
+
+  // Pop half from the front (BFS) and half from the back (DFS).
+  for (uint64_t I = 0; I != N / 2; ++I) {
+    KeyFrontier::Entry E = F.front();
+    ASSERT_EQ(E.Id, I);
+    ASSERT_EQ(E.Key, KeyOf(I));
+    F.popFront();
+  }
+  for (uint64_t I = N; I-- != N / 2;) {
+    KeyFrontier::Entry E = F.back();
+    ASSERT_EQ(E.Id, I);
+    ASSERT_EQ(E.Key, KeyOf(I));
+    F.popBack();
+  }
+  EXPECT_TRUE(F.empty());
+
+  // A drained frontier takes new entries, LIFO as well as FIFO.
+  F.push(7, "x");
+  F.push(8, "");
+  EXPECT_EQ(F.back().Id, 8u);
+  EXPECT_EQ(F.back().Key, "");
+  F.popBack();
+  EXPECT_EQ(F.front().Key, "x");
+  EXPECT_EQ(KeyFrontier::entryBytes(5), 5 + KeyFrontier::EntryOverhead);
 }

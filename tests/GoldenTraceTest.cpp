@@ -5,10 +5,12 @@
 // fixtures pin that rendering: FirstViolationText under default options
 // for every not-robust Figure 7 and litmus program, plus one
 // CollapseLocalSteps run whose trace prints a "local xN:" step, must match
-// tests/fixtures/golden_traces/ byte for byte.
+// tests/fixtures/golden_traces/ byte for byte. A program whose spin loop
+// steps from a state to itself must still yield a finite trace.
 //
 //===----------------------------------------------------------------------===//
 
+#include "lang/Parser.h"
 #include "litmus/Corpus.h"
 #include "rocker/RobustnessChecker.h"
 
@@ -80,4 +82,35 @@ TEST(GoldenTrace, CollapsedLocalStepTextMatchesFixture) {
   ASSERT_FALSE(R.Robust);
   EXPECT_NE(R.FirstViolationText.find("local x3: "), std::string::npos);
   EXPECT_EQ(R.FirstViolationText, readFixture("collapse-local-steps"));
+}
+
+TEST(GoldenTrace, SelfLoopStepLeavesTraceFinite) {
+  // t0's only step leads back to the state it leaves. Taken from the
+  // newest state, that step once recorded the state as its own parent,
+  // and trace reconstruction never reached the root.
+  std::ifstream In(std::string(ROCKER_FIXTURES_DIR) + "/self_loop.rkr");
+  std::ostringstream Src;
+  Src << In.rdbuf();
+  Program P = parseProgramOrDie(Src.str());
+  struct Mode {
+    const char *Name;
+    bool UsePor;
+    unsigned Threads;
+  };
+  for (const Mode &M : {Mode{"default", true, 1}, Mode{"no-por", false, 1},
+                        Mode{"threads-2", true, 2}}) {
+    RockerOptions O;
+    O.UsePor = M.UsePor;
+    O.Threads = M.Threads;
+    RockerReport R = checkRobustness(P, O);
+    ASSERT_FALSE(R.Robust) << M.Name;
+    ASSERT_EQ(R.FirstViolationTrace.size(), 2u) << M.Name;
+    EXPECT_EQ(R.FirstViolationTrace[0].Thread, 1u) << M.Name;
+    EXPECT_EQ(R.FirstViolationTrace[0].Text, "W(x,1)") << M.Name;
+    EXPECT_EQ(R.FirstViolationTrace[1].Thread, 1u) << M.Name;
+    EXPECT_EQ(R.FirstViolationTrace[1].Text, "R(x,1)") << M.Name;
+    EXPECT_NE(R.FirstViolationText.find("assertion failed"),
+              std::string::npos)
+        << M.Name;
+  }
 }

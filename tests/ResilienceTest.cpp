@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "explore/KeyFrontier.h"
 #include "litmus/Corpus.h"
 #include "memory/SCMemory.h"
 #include "monitor/SCMState.h"
@@ -274,6 +275,43 @@ TEST(Resilience, TruncateResumeMatchesUninterruptedParallel1) {
   }
 }
 
+// DFS pops the key frontier from the back, and its checkpoint carries each
+// entry's id. Cuts across the whole run, under both visited sets that hold
+// exact keys, must resume to the uninterrupted counts.
+TEST(Resilience, TruncateResumeMatchesUninterruptedSequentialDfs) {
+  Program P = findCorpusEntry("lamport2-ra").parse();
+  SCMonitor Mem(P, /*Abstract=*/true);
+  for (bool Compress : {true, false}) {
+    ExploreOptions Base;
+    Base.Order = SearchOrder::DFS;
+    Base.CompressVisited = Compress;
+    Base.RecordParents = false;
+    ExploreResult Ref = ProductExplorer<SCMonitor>(P, Mem, Base).run();
+    ASSERT_FALSE(Ref.Stats.Truncated);
+    uint64_t N = Ref.Stats.NumStates;
+    for (uint64_t Cut = 5; Cut < N; Cut += N / 5) {
+      std::string What = "compress=" + std::to_string(Compress) +
+                         " cut=" + std::to_string(Cut);
+      ScopedFile Ckpt(tmpPath("trunc-dfs-" + std::to_string(Cut)));
+      ExploreOptions Mid = Base;
+      Mid.MaxStates = Cut;
+      Mid.Resilience.CheckpointPath = Ckpt.Path;
+      ASSERT_TRUE(
+          ProductExplorer<SCMonitor>(P, Mem, Mid).run().Stats.Truncated)
+          << What;
+      ExploreOptions Fin = Base;
+      Fin.Resilience.ResumePath = Ckpt.Path;
+      ExploreResult R = ProductExplorer<SCMonitor>(P, Mem, Fin).run();
+      ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
+          << What << ": " << R.Stats.Resilience.ResumeError;
+      EXPECT_EQ(R.Stats.NumStates, N) << What;
+      EXPECT_EQ(R.Stats.NumTransitions, Ref.Stats.NumTransitions) << What;
+      EXPECT_EQ(R.Stats.NumDeadlockStates, Ref.Stats.NumDeadlockStates)
+          << What;
+    }
+  }
+}
+
 TEST(Resilience, ResumePreservesViolationsAcrossTheCut) {
   // Full sweep of a non-robust program: violations recorded before the
   // cut travel through the checkpoint, ones after the cut are found by
@@ -391,10 +429,11 @@ TEST(Resilience, MemBudgetDowngradesParallel) {
 }
 
 TEST(Resilience, PayloadChargeCoversMonitorState) {
-  // The governor charges every frontier state at payloadBytes. An SCM
-  // state counts at its checkpoint-codec length: on lamport2-3-ra all 177
-  // bit sets (1,416 B) and M, where twice the serialized key charged
-  // about 280 B.
+  // The governor charges every frontier entry at its size. A ProductState
+  // (the parallel engine's deques) counts at its resident size: on
+  // lamport2-3-ra the monitor buffer holds all 177 bit sets (1,416 B) and
+  // M padded to a word. A key entry (the sequential engine's frontier)
+  // counts at its key plus the entry header.
   Program P = findCorpusEntry("lamport2-3-ra").parse();
   SCMonitor Mem(P, /*Abstract=*/true);
   ASSERT_EQ(SCMState::numMasks(P.numThreads(), P.numLocs(), true), 177u);
@@ -404,10 +443,17 @@ TEST(Resilience, PayloadChargeCoversMonitorState) {
   for (const SequentialProgram &S : P.Threads)
     Init.Threads.push_back(ThreadState::initial(S));
   Init.M = Mem.initial();
-  std::string Codec;
-  Mem.encodeState(Init.M, Codec);
-  EXPECT_EQ(Codec.size(), P.numLocs() + 177u * 8);
-  EXPECT_GE(C.payloadBytes(Init), sizeof(Core::ProductState) + 1416);
+  size_t Buffer = (177u + (P.numLocs() + 7) / 8) * 8;
+  EXPECT_EQ(Init.M.heapBytes(), Buffer);
+  EXPECT_GE(C.payloadBytes(Init), sizeof(Core::ProductState) + Buffer);
+  std::string Key = productStateKey(Mem, Init.Threads, Init.M);
+  size_t ThreadBytes = 0; // One pc byte plus the registers, per thread.
+  for (const SequentialProgram &S : P.Threads)
+    ThreadBytes += 1 + S.NumRegs;
+  EXPECT_EQ(Key.size(), ThreadBytes + Mem.stateKeyBytes());
+  EXPECT_EQ(KeyFrontier::entryBytes(Key.size()),
+            Key.size() + KeyFrontier::EntryOverhead);
+  EXPECT_LT(KeyFrontier::entryBytes(Key.size()), Buffer / 8);
 }
 
 //===----------------------------------------------------------------------===//
@@ -452,14 +498,18 @@ TEST(Resilience, StaleAndCrossEngineResumesAreRejected) {
   ExpectRejected(P, Par, "cross-engine");
 }
 
-TEST(Resilience, VersionOneCheckpointIsRejected) {
+TEST(Resilience, OldVersionCheckpointsAreRejected) {
   // Version 1 stored rendered step text in the sequential trace edges;
-  // version 2 stores (pc, collapse count). An old file must fail the
-  // container's version check before any payload byte is decoded.
+  // version 2 stored frontier states in a codec of their own, where
+  // version 3 stores their keys. An old file must fail the container's
+  // version check before any payload byte is decoded.
   Program P = findCorpusEntry("peterson-ra").parse();
-  for (unsigned Threads : {1u, 4u}) {
-    std::string What = "threads=" + std::to_string(Threads);
-    ScopedFile Ckpt(tmpPath("v1-" + std::to_string(Threads)));
+  for (auto [Threads, Old] : {std::pair{1u, '\1'}, std::pair{1u, '\2'},
+                              std::pair{4u, '\1'}, std::pair{4u, '\2'}}) {
+    std::string What = "threads=" + std::to_string(Threads) +
+                       " version=" + std::to_string(Old);
+    ScopedFile Ckpt(tmpPath("old-" + std::to_string(Threads) + "-" +
+                            std::to_string(Old)));
     RockerOptions Mid = baseOpts(Threads);
     Mid.MaxStates = 100;
     Mid.Resilience.CheckpointPath = Ckpt.Path;
@@ -470,14 +520,15 @@ TEST(Resilience, VersionOneCheckpointIsRejected) {
       std::fstream Fix(Ckpt.Path,
                        std::ios::in | std::ios::out | std::ios::binary);
       Fix.seekp(4);
-      const char V1[4] = {1, 0, 0, 0};
-      Fix.write(V1, sizeof(V1));
+      const char V[4] = {Old, 0, 0, 0};
+      Fix.write(V, sizeof(V));
     }
     RockerOptions RO = baseOpts(Threads);
     RO.Resilience.ResumePath = Ckpt.Path;
     RockerReport R = checkRobustness(P, RO);
     EXPECT_EQ(R.Stats.Resilience.ResumeError,
-              "unsupported checkpoint format version 1")
+              "unsupported checkpoint format version " +
+                  std::to_string(Old))
         << What;
     EXPECT_FALSE(R.Stats.Resilience.Resumed) << What;
     EXPECT_FALSE(R.Complete) << What;

@@ -2,15 +2,16 @@
 //
 // SCMState keeps M and its bit-set tables in one buffer, and SCMonitor
 // writes visited-set keys through fixed-length chunk writers. These tests
-// pin both against the straightforward encoders they replaced, kept here
-// as the reference:
+// pin both against the straightforward encoder they replaced, kept here
+// as the reference, and pin decodeState as the key's exact inverse:
 //
-//  * serialize, serializeComponents, serializeComponent(i) and
-//    encodeState agree byte for byte with the reference along random
-//    walks of every corpus program, in both abstraction modes, and on a
-//    12-value program whose value sets need two bytes;
-//  * copy, move and assignment give independent states, and
-//    decodeState(encodeState(S)) == S.
+//  * serialize, serializeComponents and serializeComponent(i) agree byte
+//    for byte with the reference, and decodeState(serialize(S)) == S,
+//    along random walks of every corpus program, in both abstraction
+//    modes, and on a 12-value program whose value sets need two bytes;
+//  * every reachable state of the Figure 7 and litmus programs, and of
+//    random programs, round-trips through its key, in both modes;
+//  * copy, move and assignment give independent states.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,9 @@
 #include "lang/Step.h"
 #include "litmus/Corpus.h"
 #include "monitor/SCMState.h"
+#include "support/StateKey.h"
+
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -28,8 +32,7 @@ using namespace rocker;
 
 namespace {
 
-/// The byte-at-a-time key and checkpoint encoders the fixed-layout
-/// writers replaced.
+/// The byte-at-a-time key encoder the fixed-layout writers replaced.
 class ReferenceEncoder {
 public:
   ReferenceEncoder(const Program &P, const SCMonitor &Mon)
@@ -78,18 +81,6 @@ public:
     return Chunks;
   }
 
-  std::string checkpoint(const SCMState &S) const {
-    std::string Out(reinterpret_cast<const char *>(S.M.data()), S.M.size());
-    for (const SCMField<BitSet64> *F :
-         {&S.VSC, &S.MSC, &S.WSC, &S.V, &S.VRmw, &S.W, &S.WRmw, &S.CV,
-          &S.CVRmw, &S.CW, &S.CWRmw})
-      for (const BitSet64 &B : *F) {
-        uint64_t M = B.mask();
-        Out.append(reinterpret_cast<const char *>(&M), sizeof(M));
-      }
-    return Out;
-  }
-
 private:
   static void appendMask(std::string &Out, uint64_t Mask, unsigned Bytes) {
     for (unsigned I = 0; I != Bytes; ++I)
@@ -120,8 +111,20 @@ private:
   std::vector<BitSet64> Crit;
 };
 
-/// Checks every encoder of \p Mon on \p S against the reference; returns
-/// false (after recording the failure) on the first mismatch.
+/// Decodes \p Key (followed by KeySlack bytes of \p Junk, which the word
+/// loads may read but must not use) into \p Back, reporting a wrong
+/// length at \p Where.
+void decodeKey(const SCMonitor &Mon, const std::string &Key, char Junk,
+               SCMState &Back, const std::string &Where) {
+  std::string Padded = Key + std::string(KeySlack, Junk);
+  const char *End = Mon.decodeState(Padded.data(), Back);
+  EXPECT_EQ(End, Padded.data() + Key.size()) << Where << ": key length";
+  EXPECT_EQ(Key.size(), Mon.stateKeyBytes()) << Where << ": key length";
+}
+
+/// Checks every encoder of \p Mon on \p S against the reference, and
+/// that the key decodes back to \p S; returns false (after recording the
+/// failure) on the first mismatch.
 bool encodersMatch(const SCMonitor &Mon, const ReferenceEncoder &Ref,
                    const SCMState &S, const std::string &Where) {
   std::vector<std::string> Want = Ref.components(S);
@@ -150,16 +153,14 @@ bool encodersMatch(const SCMonitor &Mon, const ReferenceEncoder &Ref,
                                     << I;
   }
 
-  std::string Enc = "pre";
-  Mon.encodeState(S, Enc);
-  EXPECT_EQ(Enc, "pre" + Ref.checkpoint(S)) << Where << ": encodeState";
-
+  // Into an empty state, and into a reused one of the right shape whose
+  // old contents (decoded from an all-ones key) must all be overwritten.
   SCMState Back;
-  std::string Bytes = Enc.substr(3);
-  BinReader R(Bytes);
-  EXPECT_TRUE(Mon.decodeState(R, Back)) << Where << ": decodeState";
-  EXPECT_TRUE(R.atEnd()) << Where << ": decodeState length";
-  EXPECT_TRUE(Back == S) << Where << ": decode(encode(S))";
+  decodeKey(Mon, WantKey, '\x00', Back, Where);
+  EXPECT_TRUE(Back == S) << Where << ": decode(serialize(S))";
+  decodeKey(Mon, std::string(WantKey.size(), '\xff'), '\xff', Back, Where);
+  decodeKey(Mon, WantKey, '\xff', Back, Where);
+  EXPECT_TRUE(Back == S) << Where << ": decode(serialize(S)), reused";
   return !::testing::Test::HasFailure();
 }
 
@@ -334,12 +335,106 @@ TEST(SCMLayout, CopyMoveAndAssignmentAreIndependent) {
     Fields.V[0] = BitSet64::allBelow(3);
     EXPECT_FALSE(S.V[0] == BitSet64::allBelow(3));
 
-    // decodeState(encodeState(S)) == S.
-    std::string Bytes;
-    Mon.encodeState(S, Bytes);
-    SCMState Back = Mon.initial();
-    BinReader R(Bytes);
-    ASSERT_TRUE(Mon.decodeState(R, Back));
-    EXPECT_TRUE(Back == S);
   }
+}
+
+/// Round-trips every reachable product state of \p P through its key:
+/// the monitor part through decodeState, and the whole product state
+/// through decodeProductStateKey. Returns the number of states checked.
+uint64_t roundTripReachable(const Program &P, bool Abstract,
+                            const std::string &Where) {
+  SCMonitor Mon(P, Abstract);
+  std::vector<ThreadState> Threads;
+  for (const SequentialProgram &S : P.Threads)
+    Threads.push_back(ThreadState::initial(S));
+  SCMState Back;
+  uint64_t Checked = 0, Failed = 0;
+  ExploreOptions EO;
+  EO.RecordParents = false;
+  EO.StopOnViolation = false;
+  ExploreResult R = test::forEachReachableState(
+      P, Mon, EO, [&](const auto &S) {
+        ++Checked;
+        std::string Key = productStateKey(Mon, S.Threads, S.M);
+        Key.append(KeySlack, '\xa5');
+        const char *End =
+            decodeProductStateKey(Mon, Key.data(), Threads, Back);
+        if (End != Key.data() + Key.size() - KeySlack ||
+            !(Threads == S.Threads) || !(Back == S.M))
+          ++Failed;
+      });
+  EXPECT_FALSE(R.Stats.Truncated) << Where;
+  EXPECT_EQ(Checked, R.Stats.NumStates) << Where;
+  EXPECT_EQ(Failed, 0u) << Where;
+  return Checked;
+}
+
+TEST(SCMLayout, ReachableStatesRoundTripThroughKeys) {
+  std::vector<const CorpusEntry *> Programs;
+  for (const std::vector<CorpusEntry> *C :
+       {&litmusTests(), &extraLitmusTests(), &figure7Programs()})
+    for (const CorpusEntry &E : *C)
+      Programs.push_back(&E);
+  uint64_t Checked = 0;
+  for (const CorpusEntry *E : Programs) {
+    Program P = E->parse();
+    for (bool Abstract : {false, true})
+      Checked += roundTripReachable(
+          P, Abstract, P.Name + (Abstract ? " abstract" : " full"));
+    if (HasFailure())
+      return;
+  }
+  EXPECT_GT(Checked, 100000u);
+
+  std::mt19937 Rng(17);
+  test::RandomProgramOptions O;
+  O.AllowBlocking = true;
+  O.NumNaLocs = 1;
+  for (unsigned I = 0; I != 200; ++I) {
+    Program P = test::randomProgram(Rng, O);
+    for (bool Abstract : {false, true})
+      roundTripReachable(P, Abstract,
+                         "random program " + std::to_string(I) +
+                             (Abstract ? " abstract" : " full"));
+    if (HasFailure())
+      return;
+  }
+}
+
+TEST(SCMLayout, CheckedKeyDecodeRejectsMalformedKeys) {
+  // Checkpoint keys come from outside the process: only a key that
+  // decodes and serializes back to itself is accepted.
+  Program P = findCorpusEntry("lamport2-3-ra").parse();
+  SCMonitor Mon(P, /*Abstract=*/true);
+  std::vector<ThreadState> Threads;
+  for (const SequentialProgram &S : P.Threads)
+    Threads.push_back(ThreadState::initial(S));
+  SCMState M = Mon.initial();
+  Mon.stepWrite(M, 0, 0, 1, /*IsNA=*/false);
+  Threads[1].Pc = 300; // A two-byte varint.
+  std::string Key = productStateKey(Mon, Threads, M);
+
+  std::vector<ThreadState> Back = Threads;
+  for (ThreadState &TS : Back)
+    TS.Pc = 0;
+  SCMState BackM;
+  ASSERT_TRUE(decodeProductStateKeyChecked(Mon, Key, Back, BackM));
+  EXPECT_TRUE(Back == Threads);
+  EXPECT_TRUE(BackM == M);
+
+  auto Rejects = [&](const std::string &Bad) {
+    return !decodeProductStateKeyChecked(Mon, Bad, Back, BackM);
+  };
+  EXPECT_TRUE(Rejects(""));
+  EXPECT_TRUE(Rejects(Key.substr(0, Key.size() - 1)));
+  EXPECT_TRUE(Rejects(Key + '\0'));
+  // A varint that never ends.
+  EXPECT_TRUE(Rejects(std::string(Key.size(), '\x80')));
+  // A set of locations with a bit past the last location decodes to a
+  // state whose key differs.
+  std::string Stray = Key;
+  size_t Global = Key.size() - Mon.stateKeyBytes();
+  ASSERT_LT(P.numLocs(), 8u);
+  Stray[Global + P.numLocs()] = static_cast<char>(0x80); // MSC[0].
+  EXPECT_TRUE(Rejects(Stray));
 }
