@@ -1,9 +1,8 @@
 //===- bench/parallel_speedup.cpp - Parallel-engine scaling ----------------===//
 //
 // Measures the work-stealing engine (src/parexplore) against the
-// sequential baseline on the Figure 7 corpus, for both visited-tier
-// implementations (the lock-free CAS-published tables and the striped
-// sharded tier). Programs are first sized at 1 thread; those with at
+// sequential baseline on the Figure 7 corpus. Programs are first sized
+// at 1 thread; those with at
 // least --min-states reachable product states (default 1e5 — smaller
 // spaces are dominated by thread startup and dedup-set contention) are
 // then re-run at 2, 4, 8, 16, and 32 threads plus hardware concurrency,
@@ -12,7 +11,7 @@
 // Stats.Seconds, so the numbers match what rocker_cli --stats prints
 // and exclude program parsing.
 //
-// Each (threads, impl) cell runs --reps times (default 3) and keeps the
+// Each thread-count cell runs --reps times (default 3) and keeps the
 // best states/sec; the reps of all cells are interleaved so
 // minute-scale machine-load drift hits every configuration instead of
 // whichever ran last. Verdicts and state counts must be identical to
@@ -38,7 +37,6 @@
 #include "rocker/RobustnessChecker.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -53,7 +51,7 @@ struct CellResult {
   double Seconds = 0;
   double StatesPerSec = 0;
   double Speedup = 0;
-  uint64_t CasRetries = 0; ///< Lock-free cells only (telemetry delta).
+  uint64_t CasRetries = 0; ///< Telemetry delta of the best rep.
   bool CountsMatch = true;
 };
 
@@ -63,20 +61,15 @@ struct Row {
   bool Robust = false;
   double SeqSeconds = 0;
   bool CountsMatch = true;
-  // Indexed [thread-ladder][impl]: impl 0 = lockfree, 1 = striped.
-  std::vector<std::array<CellResult, 2>> Cells;
+  std::vector<CellResult> Cells; ///< Indexed like the thread ladder.
 };
 
-constexpr VisitedImpl Impls[2] = {VisitedImpl::LockFree,
-                                  VisitedImpl::Striped};
-
-RockerReport runOnce(const Program &P, unsigned Threads, VisitedImpl V) {
+RockerReport runOnce(const Program &P, unsigned Threads) {
   RockerOptions O;
   O.RecordTrace = false;
   O.StopOnViolation = false; // Full exploration: comparable work.
   O.MaxStates = 4'000'000;
   O.Threads = Threads;
-  O.Visited = V;
   return checkRobustness(P, O);
 }
 
@@ -125,10 +118,9 @@ int main(int argc, char **argv) {
               MaxThreads > Hw ? ", oversubscribed — >hw columns measure "
                                 "correctness overhead, not scaling"
                               : "");
-  std::printf("%-20s | %9s | %8s | %2s | %8s %5s | %8s %5s | %6s\n",
-              "Program", "States", "T1[s]", "#T", "LF[s]", "x", "STR[s]",
-              "x", "LF/STR");
-  std::printf("%s\n", std::string(92, '-').c_str());
+  std::printf("%-20s | %9s | %8s | %2s | %8s %5s\n", "Program",
+              "States", "T1[s]", "#T", "Tn[s]", "x");
+  std::printf("%s\n", std::string(66, '-').c_str());
 
   std::vector<Row> Rows;
   bool AllMatch = true;
@@ -141,7 +133,7 @@ int main(int argc, char **argv) {
     // Warmup + sizing: the first exploration pays allocator and
     // page-cache cold costs that would otherwise be charged to the
     // sequential baseline and inflate every speedup.
-    RockerReport Seq = runOnce(P, 1, VisitedImpl::LockFree);
+    RockerReport Seq = runOnce(P, 1);
     if (Seq.Stats.NumStates < MinStates) {
       if (!Only.empty())
         std::printf("%-20s | %9llu | below --min-states, skipped\n",
@@ -158,57 +150,48 @@ int main(int argc, char **argv) {
     // Interleave the sequential-baseline reps with the parallel cells so
     // machine-load drift is shared. Best-of-N per cell.
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      RockerReport S = runOnce(P, 1, VisitedImpl::LockFree);
+      RockerReport S = runOnce(P, 1);
       R.CountsMatch = R.CountsMatch && S.Robust == Seq.Robust &&
                       S.Stats.NumStates == Seq.Stats.NumStates;
       if (Rep == 0 || S.Stats.Seconds < R.SeqSeconds)
         R.SeqSeconds = S.Stats.Seconds;
       for (size_t TI = 0; TI != Ladder.size(); ++TI) {
-        for (int VI = 0; VI != 2; ++VI) {
-          obs::Snapshot Before = obs::snapshot();
-          RockerReport Par = runOnce(P, Ladder[TI], Impls[VI]);
-          uint64_t Cas =
-              obs::snapshot().counter(obs::Ctr::VisitedCasRetries) -
-              Before.counter(obs::Ctr::VisitedCasRetries);
-          CellResult &C = R.Cells[TI][VI];
-          bool Ok = Par.Robust == Seq.Robust &&
-                    Par.Stats.NumStates == Seq.Stats.NumStates;
-          C.CountsMatch = C.CountsMatch && Ok;
-          if (Rep == 0 || Par.Stats.Seconds < C.Seconds) {
-            C.Seconds = Par.Stats.Seconds;
-            C.StatesPerSec = Par.Stats.Seconds > 0
-                                 ? Par.Stats.NumStates / Par.Stats.Seconds
-                                 : 0;
-            C.CasRetries = Cas;
-          }
+        obs::Snapshot Before = obs::snapshot();
+        RockerReport Par = runOnce(P, Ladder[TI]);
+        uint64_t Cas = obs::snapshot().counter(obs::Ctr::VisitedCasRetries) -
+                       Before.counter(obs::Ctr::VisitedCasRetries);
+        CellResult &C = R.Cells[TI];
+        bool Ok = Par.Robust == Seq.Robust &&
+                  Par.Stats.NumStates == Seq.Stats.NumStates;
+        C.CountsMatch = C.CountsMatch && Ok;
+        if (Rep == 0 || Par.Stats.Seconds < C.Seconds) {
+          C.Seconds = Par.Stats.Seconds;
+          C.StatesPerSec = Par.Stats.Seconds > 0
+                               ? Par.Stats.NumStates / Par.Stats.Seconds
+                               : 0;
+          C.CasRetries = Cas;
         }
       }
     }
-    for (auto &Cell : R.Cells)
-      for (auto &C : Cell) {
-        C.Speedup = C.Seconds > 0 ? R.SeqSeconds / C.Seconds : 0;
-        R.CountsMatch = R.CountsMatch && C.CountsMatch;
-      }
+    for (CellResult &C : R.Cells) {
+      C.Speedup = C.Seconds > 0 ? R.SeqSeconds / C.Seconds : 0;
+      R.CountsMatch = R.CountsMatch && C.CountsMatch;
+    }
     AllMatch &= R.CountsMatch;
     Rows.push_back(R);
 
     for (size_t TI = 0; TI != Ladder.size(); ++TI) {
-      const CellResult &LF = R.Cells[TI][0];
-      const CellResult &ST = R.Cells[TI][1];
-      std::printf("%-20s | %9llu | %8.3f | %2u | %8.3f %4.2fx | %8.3f "
-                  "%4.2fx | %5.2fx%s\n",
+      const CellResult &C = R.Cells[TI];
+      std::printf("%-20s | %9llu | %8.3f | %2u | %8.3f %4.2fx%s\n",
                   TI == 0 ? R.Name.c_str() : "",
                   TI == 0 ? static_cast<unsigned long long>(R.States) : 0,
-                  R.SeqSeconds, Ladder[TI], LF.Seconds, LF.Speedup,
-                  ST.Seconds, ST.Speedup,
-                  LF.Seconds > 0 ? ST.Seconds / LF.Seconds : 0.0,
-                  LF.CountsMatch && ST.CountsMatch ? "" : " !COUNTS");
+                  R.SeqSeconds, Ladder[TI], C.Seconds, C.Speedup,
+                  C.CountsMatch ? "" : " !COUNTS");
     }
     std::fflush(stdout);
   }
-  std::printf("%s\n", std::string(92, '-').c_str());
-  std::printf("measured %zu program%s with >= %llu states (LF/STR > 1 "
-              "means the lock-free tier is faster; !COUNTS = "
+  std::printf("%s\n", std::string(66, '-').c_str());
+  std::printf("measured %zu program%s with >= %llu states (!COUNTS = "
               "verdict/state-count mismatch vs sequential)\n",
               Rows.size(), Rows.size() == 1 ? "" : "s",
               static_cast<unsigned long long>(MinStates));
@@ -236,20 +219,18 @@ int main(int argc, char **argv) {
                    static_cast<unsigned long long>(R.States),
                    R.Robust ? "true" : "false",
                    R.CountsMatch ? "true" : "false", R.SeqSeconds);
-      for (size_t TI = 0; TI != Ladder.size(); ++TI)
-        for (int VI = 0; VI != 2; ++VI) {
-          const CellResult &C = R.Cells[TI][VI];
-          std::fprintf(
-              F,
-              "      {\"threads\": %u, \"impl\": \"%s\", \"seconds\": "
-              "%.6f, \"states_per_sec\": %.1f, \"speedup\": %.4f, "
-              "\"cas_retries\": %llu, \"counts_match\": %s}%s\n",
-              Ladder[TI], visitedImplName(Impls[VI]), C.Seconds,
-              C.StatesPerSec, C.Speedup,
-              static_cast<unsigned long long>(C.CasRetries),
-              C.CountsMatch ? "true" : "false",
-              TI + 1 == Ladder.size() && VI == 1 ? "" : ",");
-        }
+      for (size_t TI = 0; TI != Ladder.size(); ++TI) {
+        const CellResult &C = R.Cells[TI];
+        std::fprintf(
+            F,
+            "      {\"threads\": %u, \"seconds\": %.6f, "
+            "\"states_per_sec\": %.1f, \"speedup\": %.4f, "
+            "\"cas_retries\": %llu, \"counts_match\": %s}%s\n",
+            Ladder[TI], C.Seconds, C.StatesPerSec, C.Speedup,
+            static_cast<unsigned long long>(C.CasRetries),
+            C.CountsMatch ? "true" : "false",
+            TI + 1 == Ladder.size() ? "" : ",");
+      }
       std::fprintf(F, "     ]}%s\n", I + 1 == Rows.size() ? "" : ",");
     }
     std::fprintf(F, "  ]\n}\n");

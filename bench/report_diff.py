@@ -58,10 +58,10 @@ percentage points is a warning.
 
 Also accepts a pair of parallel-speedup bench files (schema
 "rocker-bench-speedup/1", written by `parallel_speedup --json`): per
-program, verdict or state-count drift between any (threads, impl) cell
-and the sequential baseline is an error (the parallel engine and both
-visited tiers must be observationally identical); per matched
-(threads, impl) cell, speedup drops beyond the threshold are warnings
+program, verdict or state-count drift between any thread-count cell
+and the sequential baseline is an error (the parallel engine must be
+observationally identical to the sequential one); per matched
+thread-count cell, speedup drops beyond the threshold are warnings
 (timing class — thread ladders and hardware differ between machines,
 so unmatched cells are skipped silently).
 
@@ -338,12 +338,12 @@ def compare_trace(base, cur, threshold):
 
 
 def compare_speedup(base, cur, threshold):
-    """Comparison for parallel-speedup bench files: every (threads,
-    impl) cell must reproduce the sequential verdict and state count
-    exactly (an equivalence error, machine-independent); speedup drops
-    beyond the threshold on matched cells are timing-class warnings.
-    Cells present on only one side are skipped — thread ladders follow
-    the machine's core count."""
+    """Comparison for parallel-speedup bench files: every thread-count
+    cell must reproduce the sequential verdict and state count exactly
+    (an equivalence error, machine-independent); speedup drops beyond
+    the threshold on matched cells are timing-class warnings. Cells
+    present on only one side are skipped — thread ladders follow the
+    machine's core count."""
     for name in sorted(set(base) | set(cur)):
         if name not in cur:
             yield "error", f"{name}: present in baseline, missing now"
@@ -368,19 +368,19 @@ def compare_speedup(base, cur, threshold):
                 f"{name}: a parallel run diverged from the sequential "
                 "baseline (verdict or state count)"
             )
-        b_runs = {(r["threads"], r["impl"]): r for r in b.get("runs", [])}
-        c_runs = {(r["threads"], r["impl"]): r for r in c.get("runs", [])}
-        for key in sorted(set(b_runs) & set(c_runs)):
-            br, cr = b_runs[key], c_runs[key]
+        b_runs = {r["threads"]: r for r in b.get("runs", [])}
+        c_runs = {r["threads"]: r for r in c.get("runs", [])}
+        for threads in sorted(set(b_runs) & set(c_runs)):
+            br, cr = b_runs[threads], c_runs[threads]
             if not cr.get("counts_match", True):
                 yield "error", (
-                    f"{name} [{key[0]}t {key[1]}]: verdict/state-count "
+                    f"{name} [{threads}t]: verdict/state-count "
                     "mismatch vs sequential"
                 )
             sp_delta = pct(cr.get("speedup", 0), br.get("speedup", 0))
             if sp_delta is not None and sp_delta < -threshold:
                 yield "warn", (
-                    f"{name} [{key[0]}t {key[1]}]: speedup dropped "
+                    f"{name} [{threads}t]: speedup dropped "
                     f"{-sp_delta:.1f}% ({br.get('speedup', 0):.2f}x -> "
                     f"{cr.get('speedup', 0):.2f}x)"
                 )

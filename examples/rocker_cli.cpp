@@ -158,10 +158,11 @@ const CliOption Options[] = {
          badValue(C, "--threads", V);
      }},
     {"--bitstate", "K",
-     "Spin-style bitstate hashing with 2^K bits (approximate; sequential "
-     "engine only)",
+     "Spin-style bitstate hashing with 2^K bits, K in [6, 36] "
+     "(approximate; sequential engine only)",
      [](CliState &C, const char *V) {
-       if (auto K = num::parseU32(V))
+       auto K = num::parseU32(V);
+       if (K && resilience::bitstateLog2InRange(*K))
          C.Opts.BitstateLog2 = *K;
        else
          badValue(C, "--bitstate", V);
@@ -170,16 +171,6 @@ const CliOption Options[] = {
      "store full state keys instead of the compressed (interned-"
      "component) visited set",
      [](CliState &C, const char *) { C.Opts.CompressVisited = false; }},
-    {"--visited", "IMPL",
-     "parallel-engine visited tier: lockfree (CAS-published tables, the "
-     "default) or striped (sharded locks); identical verdicts either "
-     "way; env equivalent: ROCKER_VISITED",
-     [](CliState &C, const char *V) {
-       if (auto I = parseVisitedImpl(V))
-         C.Opts.Visited = *I;
-       else
-         badValue(C, "--visited", V);
-     }},
     {"--visited-log2", "K",
      "initial lock-free root-table capacity 2^K slots (default 2^18); "
      "each table doubles on its own, truncating only at the 2^30 ceiling",
@@ -430,8 +421,8 @@ void printStats(const ExploreStats &S) {
                   static_cast<unsigned long long>(W.Steals));
     std::printf("\n");
   }
-  // Lock-free-tier and steal-tuning contention counters (telemetry
-  // registry; zero and silent for sequential / striped runs).
+  // Lock-free visited-set and steal-tuning contention counters
+  // (telemetry registry; zero and silent for sequential runs).
   obs::Snapshot Now = obs::snapshot();
   uint64_t Cas = Now.counter(obs::Ctr::VisitedCasRetries);
   uint64_t Probe = Now.counter(obs::Ctr::VisitedProbeSteps);

@@ -990,9 +990,13 @@ private:
       RR.CheckpointBytes = R.u64();
       RR.CheckpointSeconds = R.f64();
       uint8_t BitK = R.u8();
+      // Violations and the state count reach the result only once the
+      // whole payload checks out: a failed resume must not leave the
+      // caller violations whose trace edges were never restored.
+      std::vector<Violation> Violations;
       uint64_t NumViolations = R.varu64();
       for (uint64_t I = 0; I != NumViolations && !R.fail(); ++I)
-        Res.Violations.push_back(decodeViolation(R));
+        Violations.push_back(decodeViolation(R));
       Rung = static_cast<resilience::StorageRung>(RungByte);
       uint8_t Tag = R.u8();
       if (R.fail()) {
@@ -1002,12 +1006,17 @@ private:
       if (Tag == 2) {
         // Checkpoint was taken on the bitstate rung (or the run started
         // with --bitstate): replace whatever representation setup chose.
+        if (!resilience::bitstateLog2InRange(BitK)) {
+          RR.ResumeError = "corrupt checkpoint: bitstate header";
+          return false;
+        }
         Opts.BitstateLog2 = BitK;
         Res.Approximate = true;
         Interner.reset();
         RawVisitedBytes = R.u64();
         uint64_t Words = R.u64();
-        if (Words > (Payload->size() / sizeof(uint64_t)) + 1) {
+        if (R.fail() || Words != (uint64_t{1} << BitK) / 64 ||
+            Words > R.remaining() / sizeof(uint64_t)) {
           RR.ResumeError = "corrupt checkpoint: bitstate size";
           return false;
         }
@@ -1034,7 +1043,6 @@ private:
         RR.ResumeError = "corrupt checkpoint: unknown visited-set tag";
         return false;
       }
-      NumStored = N;
       uint64_t NumFrontier = R.u64();
       const bool Bfs = Opts.Order == SearchOrder::BFS;
       if (R.fail() || (Bfs && (Cursor > N || NumFrontier != N - Cursor))) {
@@ -1058,6 +1066,12 @@ private:
         Frontier.push(Id, Key);
       }
       if (Opts.RecordParents) {
+        // One trace edge per state, each at least MinEdgeBytes long.
+        constexpr uint64_t MinEdgeBytes = 10;
+        if (N > R.remaining() / MinEdgeBytes) {
+          RR.ResumeError = "corrupt checkpoint: state count";
+          return false;
+        }
         Parents.clear();
         Parents.reserve(N);
         for (uint64_t I = 0; I != N && !R.fail(); ++I) {
@@ -1085,7 +1099,7 @@ private:
           }
           Parents.push_back(E);
         }
-        for (const Violation &V : Res.Violations)
+        for (const Violation &V : Violations)
           if (V.StateId >= N) {
             RR.ResumeError = "corrupt checkpoint: violation state";
             return false;
@@ -1095,6 +1109,8 @@ private:
         RR.ResumeError = "truncated checkpoint payload";
         return false;
       }
+      NumStored = N;
+      Res.Violations = std::move(Violations);
       RR.Resumed = true;
       RR.RestoredStates = N;
       obs::traceInstant(obs::TraceInstant::CheckpointResume, N);

@@ -7,18 +7,16 @@
 /// robustness to reachability (Theorem 5.3), so every oracle in this repo
 /// bottlenecks on the exploration loop; this engine parallelizes it:
 ///
-///  * Visited set: by default a lock-free collapse-compressed set of
-///    interned component-id tuples (support/LockFreeVisited.h — CAS-
-///    claimed open-address tables with dense ids, so a successor
-///    re-interns only its changed chunks against its parent's cached
-///    ids); --visited=striped selects the mutex-striped tier
-///    (support/StateInterner.h / support/ShardedSet.h) instead, and
+///  * Visited set: a lock-free collapse-compressed set of interned
+///    component-id tuples (support/LockFreeVisited.h — CAS-claimed
+///    open-address tables with dense ids, so a successor re-interns only
+///    its changed chunks against its parent's cached ids);
 ///    CompressVisited off swaps the compressed layout for full serialized
-///    product-state keys in either tier. Every combination deduplicates
-///    exactly, so a run that is not truncated visits exactly the
-///    reachable state set — state and transition counts are equal to the
-///    sequential engine's. The management thread doubles each lock-free
-///    table on its own as it fills; on the (engineered-to-be-rare)
+///    product-state keys. Both deduplicate exactly, so a run that is not
+///    truncated visits exactly the reachable state set — state and
+///    transition counts are equal to the sequential engine's. The
+///    management thread doubles each lock-free table on its own as it
+///    fills; on the (engineered-to-be-rare)
 ///    full-table event the run truncates like a MaxStates cut rather than
 ///    ever mis-deduplicating.
 ///  * Expansion: the shared core (explore/Expand.h) — the same check
@@ -83,11 +81,12 @@ enum class ParVerdict : uint8_t {
 /// Renders a verdict for reports.
 const char *parVerdictName(ParVerdict V);
 
-/// Resume error for a parallel checkpoint whose lock-free visited set
-/// uses a retired format: tags 3 and 4 stored slot placements at a fixed
+/// Resume error for a parallel checkpoint whose visited set uses a
+/// retired format: tags 0 and 1 held the mutex-striped tier's tuples and
+/// keys; tags 3 and 4 stored lock-free slot placements at a fixed
 /// capacity, from when lock-free ids were slot indices.
-inline std::string retiredLockFreeFormatError(unsigned Tag) {
-  return "checkpoint uses the retired lock-free visited-set format (tag " +
+inline std::string retiredVisitedFormatError(unsigned Tag) {
+  return "checkpoint uses a retired parallel visited-set format (tag " +
          std::to_string(Tag) + "); start the run afresh";
 }
 
@@ -125,14 +124,12 @@ struct ParExploreOptions {
   bool RecordTrace = true;
   /// Run the deterministic sequential replay when a violation is found.
   bool ReplayOnViolation = true;
-  unsigned ShardCountLog2 = 8; ///< Striped visited-set shards = 2^k.
   /// Use the collapse-compressed visited set (exact; see
   /// ExploreOptions::CompressVisited).
   bool CompressVisited = defaultCompressVisited();
-  /// Visited-tier implementation: lock-free CAS tables (default) or the
-  /// mutex-striped sets. Verdicts, violations, and state counts are
-  /// identical either way; only scaling behavior differs.
-  VisitedImpl Visited = defaultVisitedImpl();
+  /// Has one value (see VisitedImpl); kept until the next benchmark
+  /// revision merges the options structs.
+  VisitedImpl Visited = VisitedImpl::LockFree;
   /// Initial lock-free root-table capacity override: 2^k slots (clamped
   /// to [16, 30]); 0 = the small default (see lockFreeRootLog2). Each
   /// table then doubles on its own as it fills.
@@ -239,21 +236,16 @@ public:
                                    ".trace.txt");
       obs::traceInstant(obs::TraceInstant::EngineStart, NumWorkers);
     }
-    Shared Sh(NumWorkers, Opts.ShardCountLog2);
-    const bool LockFree = Opts.Visited == VisitedImpl::LockFree;
+    Shared Sh(NumWorkers);
+    const unsigned RootLog2 =
+        lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates);
     if (Opts.CompressVisited) {
-      if (LockFree)
-        Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
-            P.numThreads() + memComponentCount(Mem),
-            lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates));
-      else
-        Sh.Interner.emplace(P.numThreads() + memComponentCount(Mem),
-                            Opts.ShardCountLog2);
+      Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
+          P.numThreads() + memComponentCount(Mem), RootLog2);
       SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
                                  memPerThreadTailComponents(Mem));
-    } else if (LockFree) {
-      Sh.LfSet = std::make_unique<LockFreeStateSet>(
-          lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates));
+    } else {
+      Sh.LfSet = std::make_unique<LockFreeStateSet>(RootLog2);
     }
     RunStart = Start;
     auto &RR = Res.Stats.Resilience;
@@ -355,14 +347,8 @@ public:
     } else if (Sh.LfInterner) {
       Res.Stats.VisitedBytes = Sh.LfInterner->bytesUsed();
       Res.Stats.VisitedRawBytes = Sh.LfInterner->rawBytes();
-    } else if (Sh.Interner) {
-      Res.Stats.VisitedBytes = Sh.Interner->bytesUsed();
-      Res.Stats.VisitedRawBytes = Sh.Interner->rawBytes();
     } else if (Sh.LfSet) {
       Res.Stats.VisitedBytes = Sh.LfSet->bytesUsed();
-      Res.Stats.VisitedRawBytes = Res.Stats.VisitedBytes;
-    } else {
-      Res.Stats.VisitedBytes = Sh.Visited.bytesUsed();
       Res.Stats.VisitedRawBytes = Res.Stats.VisitedBytes;
     }
     Res.Stats.PeakFrontier =
@@ -485,7 +471,7 @@ private:
     std::vector<uint32_t> TreeScratch; ///< insertTuple working space.
     ExpandScratch Scratch; ///< Expansion core buffers and POR counters.
     std::vector<ProductState> StealBuf; ///< Batched-steal landing area.
-    // Incremental parent cache (lock-free interner only): the state being
+    // Incremental parent cache (compressed mode only): the state being
     // expanded, serialized and interned once by primeParent; each
     // successor then re-interns only its dirty chunks (markVisited). Ids
     // never change, so the cache survives table growth.
@@ -497,24 +483,19 @@ private:
 
   /// State shared by all workers of one run.
   struct Shared {
-    Shared(unsigned NumWorkers, unsigned ShardCountLog2)
-        : Visited(ShardCountLog2), ProgStates(ShardCountLog2) {
+    explicit Shared(unsigned NumWorkers) {
       Workers.reserve(NumWorkers);
       for (unsigned I = 0; I != NumWorkers; ++I)
         Workers.push_back(std::make_unique<WorkerSlot>());
     }
-    ShardedStateSet Visited; ///< Striped raw mode (CompressVisited off).
-    /// Striped compressed mode: engaged by runWithHooks before workers
-    /// start.
-    std::optional<ShardedStateInterner> Interner;
-    /// Lock-free tier (Opts.Visited == VisitedImpl::LockFree): exactly
-    /// one of LfInterner (compressed) / LfSet (raw) is engaged, mirroring
-    /// Interner / Visited above. unique_ptr (not optional) because the
-    /// tables are immovable; each grows in place under a world pause
+    /// The exact visited set: LfInterner (compressed) or LfSet (raw),
+    /// engaged by runWithHooks before workers start; both are reset on a
+    /// bitstate downgrade. unique_ptr (not optional) because the tables
+    /// are immovable; each grows in place under a world pause
     /// (growLockFree).
     std::unique_ptr<LockFreeStateInterner> LfInterner;
     std::unique_ptr<LockFreeStateSet> LfSet;
-    ShardedStateSet ProgStates;
+    ShardedStateSet ProgStates; ///< Program-state projections, if asked.
     TerminationBarrier TB;
     std::vector<std::unique_ptr<WorkerSlot>> Workers;
     std::atomic<uint64_t> StateCount{0};
@@ -636,16 +617,14 @@ private:
 
   /// Bytes the governor charges against the memory budget: the visited
   /// representation plus a per-state estimate for the live frontier.
-  /// The lock-free tier is charged its resident heap (slot arrays at
-  /// capacity, id segments, arena blocks), not its occupancy: probing
+  /// The visited tables are charged their resident heap (slot arrays at
+  /// capacity, id segments, arena blocks), not their occupancy: probing
   /// touches every page of a slot array.
   uint64_t governedBytes(const Shared &Sh) const {
     uint64_t V = Sh.BitstateLog2.load(std::memory_order_relaxed)
                      ? Sh.BitstateWords * sizeof(uint64_t)
                  : Sh.LfInterner ? Sh.LfInterner->residentBytes()
-                 : Sh.Interner   ? Sh.Interner->bytesUsed()
-                 : Sh.LfSet      ? Sh.LfSet->residentBytes()
-                                 : Sh.Visited.bytesUsed();
+                                 : Sh.LfSet->residentBytes();
     return V + Sh.TB.inFlight() * PayloadUnit;
   }
 
@@ -680,21 +659,11 @@ private:
                                    std::memory_order_relaxed);
       Sh.LfInterner->forEachRawKey(SlotOrder, Seed);
       Sh.LfInterner.reset();
-    } else if (Sh.Interner) {
-      Sh.RawBytesAtDowngrade.store(Sh.Interner->rawBytes(),
-                                   std::memory_order_relaxed);
-      Sh.Interner->forEachRawKey(SlotOrder, Seed);
-      Sh.Interner.reset();
-    } else if (Sh.LfSet) {
+    } else {
       Sh.RawBytesAtDowngrade.store(Sh.LfSet->bytesUsed(),
                                    std::memory_order_relaxed);
       Sh.LfSet->forEach(Seed);
       Sh.LfSet.reset();
-    } else {
-      Sh.RawBytesAtDowngrade.store(Sh.Visited.bytesUsed(),
-                                   std::memory_order_relaxed);
-      Sh.Visited.forEach(Seed);
-      Sh.Visited.clear();
     }
     // Publish last: workers route markVisited by this flag.
     Sh.BitstateLog2.store(K, std::memory_order_release);
@@ -960,18 +929,13 @@ private:
         for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
           W.u64(Sh.Bitstate[I].load(std::memory_order_relaxed));
       } else if (Sh.LfInterner) {
-        // Tags 5 and 6 hold (id, payload) entries; 3 and 4 are retired.
+        // Tags 5 and 6 hold (id, payload) entries; 0, 1, 3 and 4 are
+        // retired (see retiredVisitedFormatError).
         W.u8(5);
         Sh.LfInterner->save(W);
-      } else if (Sh.Interner) {
-        W.u8(0);
-        Sh.Interner->save(W);
-      } else if (Sh.LfSet) {
+      } else {
         W.u8(6);
         Sh.LfSet->save(W);
-      } else {
-        W.u8(1);
-        Sh.Visited.save(W);
       }
       uint64_t NumFrontier = 0;
       for (const std::unique_ptr<WorkerSlot> &WS : Sh.Workers)
@@ -1052,9 +1016,12 @@ private:
       RR.CheckpointsWritten = R.u64();
       RR.CheckpointBytes = R.u64();
       RR.CheckpointSeconds = R.f64();
+      // Violations reach the run only once the whole payload checks out
+      // (a failed resume must not report or replay them).
+      std::vector<Violation> Violations;
       uint64_t NumViolations = R.varu64();
       for (uint64_t I = 0; I != NumViolations && !R.fail(); ++I)
-        Sh.RawViolations.push_back(decodeViolation(R));
+        Violations.push_back(decodeViolation(R));
       uint8_t Tag = R.u8();
       if (R.fail()) {
         RR.ResumeError = "truncated checkpoint payload";
@@ -1063,11 +1030,10 @@ private:
       if (Tag == 2) {
         if (RungByte !=
                 static_cast<uint8_t>(resilience::StorageRung::Bitstate) ||
-            K == 0) {
+            !resilience::bitstateLog2InRange(K)) {
           RR.ResumeError = "corrupt checkpoint: bitstate header";
           return false;
         }
-        Sh.Interner.reset();
         Sh.LfInterner.reset();
         Sh.LfSet.reset();
         Sh.RawBytesAtDowngrade.store(R.u64(), std::memory_order_relaxed);
@@ -1082,23 +1048,8 @@ private:
           Sh.Bitstate[I].store(R.u64(), std::memory_order_relaxed);
         Sh.BitstateWords = Words;
         Sh.BitstateLog2.store(K, std::memory_order_relaxed);
-      } else if (Tag == 0) {
-        if (!Sh.Interner || !Sh.Interner->restore(R)) {
-          RR.ResumeError =
-              "corrupt checkpoint: compressed visited set (or "
-              "--compress-visited/--visited mismatch)";
-          return false;
-        }
-      } else if (Tag == 1) {
-        if (Sh.Interner || Sh.LfInterner || Sh.LfSet ||
-            !Sh.Visited.restore(R)) {
-          RR.ResumeError =
-              "corrupt checkpoint: visited set (or --compress-visited/"
-              "--visited mismatch)";
-          return false;
-        }
-      } else if (Tag == 3 || Tag == 4) {
-        RR.ResumeError = retiredLockFreeFormatError(Tag);
+      } else if (Tag <= 1 || Tag == 3 || Tag == 4) {
+        RR.ResumeError = retiredVisitedFormatError(Tag);
         return false;
       } else if (Tag == 5) {
         // Entries carry their ids, so each table sizes itself from its
@@ -1106,14 +1057,13 @@ private:
         if (!Sh.LfInterner || !Sh.LfInterner->restore(R)) {
           RR.ResumeError =
               "corrupt checkpoint: lock-free compressed visited set (or "
-              "--visited/--compress-visited mismatch)";
+              "--compress-visited mismatch)";
           return false;
         }
       } else if (Tag == 6) {
-        if (Sh.LfInterner || Sh.Interner || !Sh.LfSet ||
-            !Sh.LfSet->restore(R)) {
+        if (!Sh.LfSet || !Sh.LfSet->restore(R)) {
           RR.ResumeError =
-              "corrupt checkpoint: lock-free visited set (or --visited/"
+              "corrupt checkpoint: lock-free visited set (or "
               "--compress-visited mismatch)";
           return false;
         }
@@ -1136,6 +1086,7 @@ private:
         return false;
       }
       Sh.StateCount.store(NStates, std::memory_order_relaxed);
+      Sh.RawViolations = std::move(Violations);
       RR.Resumed = true;
       RR.RestoredStates = NStates;
       obs::traceInstant(obs::TraceInstant::CheckpointResume, NStates);
@@ -1250,7 +1201,7 @@ private:
   /// Lock-free compressed insert. With a valid parent cache and a
   /// bounded dirty mask, only the dirty chunks are re-serialized and
   /// re-interned (O(changed components) instead of O(state) component
-  /// work); otherwise every chunk is handled, as in the striped path.
+  /// work); otherwise every chunk is serialized and interned.
   bool lockFreeIntern(Shared &Sh, const ProductState &S, WorkerSlot &W,
                       uint64_t Dirty) const {
     LockFreeStateInterner &In = *Sh.LfInterner;
@@ -1324,36 +1275,12 @@ private:
       return bitstateInsert(Sh, K, productStateKey(Mem, S.Threads, S.M));
     if (Sh.LfInterner)
       return lockFreeIntern(Sh, S, W, Dirty);
-    if (Sh.Interner) {
-      W.TupleBuf.resize(Sh.Interner->numSlots());
-      W.CompBuf.clear();
-      uint64_t RawLen = 0;
-      unsigned Idx = 0;
-      auto Cut = [&] {
-        RawLen += W.CompBuf.size();
-        unsigned Slot = SlotOrder[Idx++];
-        W.TupleBuf[Slot] =
-            Sh.Interner->internComponent(Slot, W.CompBuf);
-        W.CompBuf.clear();
-      };
-      for (const ThreadState &TS : S.Threads) {
-        appendThreadStateKey(W.CompBuf, TS);
-        Cut();
-      }
-      serializeMemComponents(Mem, S.M, W.CompBuf, Cut);
-      return Sh.Interner->insertTuple(W.TupleBuf.data(),
-                                      stringNodeBytes(RawLen, 0));
-    }
-    if (Sh.LfSet) {
-      lf::ProbeStats St;
-      bool New =
-          Sh.LfSet->insert(productStateKey(Mem, S.Threads, S.M), St);
-      flushProbeStats(W, St);
-      if (!New && Sh.LfSet->full())
-        return tableFull(Sh);
-      return New;
-    }
-    return Sh.Visited.insert(productStateKey(Mem, S.Threads, S.M));
+    lf::ProbeStats St;
+    bool New = Sh.LfSet->insert(productStateKey(Mem, S.Threads, S.M), St);
+    flushProbeStats(W, St);
+    if (!New && Sh.LfSet->full())
+      return tableFull(Sh);
+    return New;
   }
 
   void recordViolation(Shared &Sh, Violation &&V) {
@@ -1366,7 +1293,7 @@ private:
       Sh.TB.requestStop();
   }
 
-  /// Interns a successor: dedups against the sharded visited set and, when
+  /// Interns a successor: dedups against the visited set and, when
   /// new, runs the state hook, applies the state budget, and enqueues the
   /// state on the discovering worker's deque.
   template <typename StateHook>
@@ -1522,12 +1449,10 @@ private:
           Sh.BitstateLog2.load(std::memory_order_relaxed)
               ? Sh.BitstateWords * sizeof(uint64_t)
           : Sh.LfInterner ? Sh.LfInterner->bytesUsed()
-          : Sh.Interner   ? Sh.Interner->bytesUsed()
-          : Sh.LfSet      ? Sh.LfSet->bytesUsed()
-                          : Sh.Visited.bytesUsed();
+                          : Sh.LfSet->bytesUsed();
       obs::progressVisitedBytes(VisitedB);
       obs::traceCounter(obs::TraceCounterTrack::VisitedBytes, VisitedB);
-      if (obs::traceActive() && (Sh.LfInterner || Sh.LfSet)) {
+      if (obs::traceActive()) {
         uint64_t Retries = 0;
         for (const std::unique_ptr<WorkerSlot> &WS : Sh.Workers)
           Retries += WS->CasRetries.load(std::memory_order_relaxed);

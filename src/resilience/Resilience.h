@@ -189,6 +189,16 @@ void clearStopRequest();
 /// needs headroom for the frontier.
 unsigned bitstateLog2ForBudget(uint64_t BudgetBytes);
 
+/// Accepted bitstate widths (log2 of the bit count), wherever one comes
+/// from: the CLI, a batch manifest, or a checkpoint header. The array
+/// needs at least one 64-bit word; 2^36 bits is an 8 GiB array.
+inline constexpr unsigned MinBitstateLog2 = 6;
+inline constexpr unsigned MaxBitstateLog2 = 36;
+
+inline bool bitstateLog2InRange(uint64_t K) {
+  return K >= MinBitstateLog2 && K <= MaxBitstateLog2;
+}
+
 } // namespace rocker::resilience
 
 #endif // ROCKER_RESILIENCE_RESILIENCE_H

@@ -24,7 +24,6 @@ ParExploreOptions parOptions(const RockerOptions &Opts) {
   PE.CollapseLocalSteps = Opts.CollapseLocalSteps;
   PE.RecordTrace = Opts.RecordTrace;
   PE.CompressVisited = Opts.CompressVisited;
-  PE.Visited = Opts.Visited;
   PE.LockFreeLog2 = Opts.LockFreeLog2;
   PE.UsePor = Opts.UsePor;
   PE.Resilience = Opts.Resilience;

@@ -6,6 +6,7 @@
 #include "obs/RunReport.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
+#include "resilience/Resilience.h"
 
 #include <atomic>
 #include <chrono>
@@ -115,7 +116,13 @@ bool applyOption(RockerOptions &O, const std::string &Key,
   if (Key == "bitstate_log2") {
     if (!WantNum())
       return Fail("\"bitstate_log2\" must be a number");
-    O.BitstateLog2 = static_cast<unsigned>(V.asUInt());
+    // 0 is the default: no bitstate hashing.
+    uint64_t K = V.asUInt();
+    if (K != 0 && !resilience::bitstateLog2InRange(K))
+      return Fail("\"bitstate_log2\" must be 0 or in [" +
+                  std::to_string(resilience::MinBitstateLog2) + ", " +
+                  std::to_string(resilience::MaxBitstateLog2) + "]");
+    O.BitstateLog2 = static_cast<unsigned>(K);
     return true;
   }
   if (Key == "compress_visited") {

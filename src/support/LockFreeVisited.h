@@ -23,7 +23,7 @@
 ///    node PairTable (LTSmin tree compression: adjacent ids are interned
 ///    pairwise, level by level) and the root PairSet.
 ///  * LockFreeStateSet — a StringTable over full serialized state keys,
-///    replacing ShardedStateSet on the uncompressed path.
+///    the uncompressed path (CompressVisited off).
 ///
 /// Every table probes linearly from the top bits of a hash of its own
 /// payload (hashMix64 of a pair, the memoized hash of a record), so it
@@ -74,7 +74,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,39 +85,15 @@
 
 namespace rocker {
 
-/// Which visited-set implementation the parallel engine uses.
+/// The parallel engine's visited-set implementation. It has one value:
+/// the enum, visitedImplName and the Visited fields of RockerOptions and
+/// ParExploreOptions remain only until the next benchmark revision merges
+/// the options structs.
 enum class VisitedImpl : uint8_t {
   LockFree, ///< This file: CAS-claimed open-address tables.
-  Striped,  ///< support/ShardedSet.h + ShardedStateInterner (mutex stripes).
 };
 
-inline const char *visitedImplName(VisitedImpl V) {
-  return V == VisitedImpl::Striped ? "striped" : "lockfree";
-}
-
-inline std::optional<VisitedImpl> parseVisitedImpl(const char *S) {
-  if (!S)
-    return std::nullopt;
-  std::string_view V(S);
-  if (V == "lockfree" || V == "lock-free")
-    return VisitedImpl::LockFree;
-  if (V == "striped")
-    return VisitedImpl::Striped;
-  return std::nullopt;
-}
-
-/// Process-wide default for ParExploreOptions::Visited: lock-free, unless
-/// the ROCKER_VISITED environment variable selects otherwise (used by CI
-/// to run the whole suite against the striped tier, like
-/// ROCKER_NO_COMPRESS does for the raw visited set).
-inline VisitedImpl defaultVisitedImpl() {
-  static const VisitedImpl V = [] {
-    if (auto P = parseVisitedImpl(std::getenv("ROCKER_VISITED")))
-      return *P;
-    return VisitedImpl::LockFree;
-  }();
-  return V;
-}
+inline const char *visitedImplName(VisitedImpl) { return "lockfree"; }
 
 /// Hard ceiling for any one table's growth: 2^30 slots (8 GiB of slot
 /// words; the engine truncates to Bounded beyond it instead of OOMing).
@@ -769,8 +744,8 @@ inline uint64_t packPair(uint32_t L, uint32_t R) {
 
 } // namespace lf
 
-/// Lock-free replacement for ShardedStateSet on the uncompressed path:
-/// full serialized state keys in one dbs-ll StringTable.
+/// The uncompressed lock-free visited set: full serialized state keys in
+/// one dbs-ll StringTable.
 class LockFreeStateSet {
 public:
   explicit LockFreeStateSet(unsigned Log2) : Table(Log2) {}
@@ -812,9 +787,9 @@ private:
   lf::StringTable Table;
 };
 
-/// Lock-free collapse-compressed visited set: the lock-free sibling of
-/// ShardedStateInterner, same component format (so striped and lock-free
-/// runs induce the same state equality), different storage. Components
+/// Lock-free collapse-compressed visited set: the concurrent sibling of
+/// StateInterner, same component format (so the parallel and sequential
+/// engines induce the same state equality), different storage. Components
 /// are interned per slot in StringTables; the id tuple is then collapsed
 /// by tree compression — adjacent ids interned pairwise in one shared
 /// node PairTable, level by level, until at most two ids remain — and
@@ -965,7 +940,7 @@ public:
     return Nodes.restore(R) && Roots.restore(R);
   }
 
-  /// As ShardedStateInterner::forEachRawKey: unwinds every stored root
+  /// As StateInterner::forEachRawKey: unwinds every stored root
   /// pair back to its component tuple (the reduction shape is replayed
   /// in reverse) and reassembles the raw serialized key in emission
   /// order. Used to seed the bitstate array on governor downgrade.

@@ -1,30 +1,25 @@
-//===- support/ShardedSet.h - Striped-lock concurrent state set -*- C++ -*-===//
+//===- support/ShardedSet.h - Sharded concurrent key set ---------*- C++ -*-===//
 ///
 /// \file
-/// A sharded visited set for the parallel exploration engine
-/// (parexplore/ParallelExplorer.h). Keys are the explorer's serialized
-/// product-state byte strings. The set is split into 2^k shards, each an
-/// independently locked open hash table; the shard of a key is chosen by
-/// the *high* bits of its 64-bit FNV-1a hash so that shard selection and
-/// the per-shard bucket index (which libstdc++ derives from the low bits)
-/// stay decorrelated.
+/// A concurrent set of byte-string keys for the parallel exploration
+/// engine's program-state collection (ParExploreOptions::
+/// CollectProgramStates): workers insert the program-state projection of
+/// each new state, and the engine drains the set after the join. The set
+/// is split into a fixed 2^8 shards, each an independently locked hash
+/// set; the shard of a key is chosen by the *high* bits of its 64-bit
+/// FNV-1a hash so that shard selection and the per-shard bucket index
+/// (which libstdc++ derives from the low bits) stay decorrelated.
 ///
-/// Why striped locks rather than a lock-free CAS table: insert() must own
-/// a variable-length byte string, so a lock-free design would still need
-/// out-of-line allocation plus a CAS on the slot — the win over a striped
-/// uncontended mutex is small, and the mutex version is trivially correct
-/// under ThreadSanitizer. With 2^8 shards and ≤ 64 workers, two workers
-/// collide on a shard with probability < 1/4 per pair of concurrent
-/// inserts, and the critical section is a single hash-table insert.
+/// The exact visited set itself is support/LockFreeVisited.h; this set
+/// sees one insert per new state only when projections are requested, so
+/// an uncontended mutex per shard is enough.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ROCKER_SUPPORT_SHARDEDSET_H
 #define ROCKER_SUPPORT_SHARDEDSET_H
 
-#include "support/BinCodec.h"
 #include "support/Hashing.h"
-#include "support/StateInterner.h"
 
 #include <atomic>
 #include <cstdint>
@@ -35,37 +30,23 @@
 
 namespace rocker {
 
-/// A concurrent set of byte-string state keys with striped locking.
+/// A concurrent set of byte-string keys with striped locking.
 class ShardedStateSet {
 public:
-  /// \p ShardCountLog2 selects 2^k shards (clamped to [0, 16]).
-  explicit ShardedStateSet(unsigned ShardCountLog2 = 8) {
-    if (ShardCountLog2 > 16)
-      ShardCountLog2 = 16;
-    NumShards = 1u << ShardCountLog2;
-    Shards = std::make_unique<Shard[]>(NumShards);
-  }
-
   /// Inserts \p Key if absent; returns true iff the key was new. The key
   /// is consumed only on successful insertion.
   bool insert(std::string &&Key) {
-    uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Key.data()),
-                           Key.size());
-    size_t KeyLen = Key.size();
-    Shard &Sh = shardFor(H);
+    Shard &Sh = shardFor(Key);
     std::lock_guard<std::mutex> L(Sh.M);
     if (!Sh.Set.insert(std::move(Key)).second)
       return false;
     Count.fetch_add(1, std::memory_order_relaxed);
-    Bytes.fetch_add(stringNodeBytes(KeyLen, 0), std::memory_order_relaxed);
     return true;
   }
 
   /// True iff \p Key is present (no insertion).
-  bool contains(const std::string &Key) const {
-    uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Key.data()),
-                           Key.size());
-    const Shard &Sh = shardFor(H);
+  bool contains(const std::string &Key) {
+    Shard &Sh = shardFor(Key);
     std::lock_guard<std::mutex> L(Sh.M);
     return Sh.Set.count(Key) != 0;
   }
@@ -74,85 +55,35 @@ public:
   /// once all inserters have quiesced, e.g. after the worker join).
   uint64_t size() const { return Count.load(std::memory_order_relaxed); }
 
-  /// Estimated heap bytes held (see stringNodeBytes); same quiescence
-  /// caveat as size().
-  uint64_t bytesUsed() const {
-    return Bytes.load(std::memory_order_relaxed);
-  }
-
   /// Moves all keys into \p Out and empties the set. Not thread-safe
   /// against concurrent inserts; call after workers have joined.
   template <typename SetT> void drainInto(SetT &Out) {
     for (unsigned I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> L(Shards[I].M);
-      for (auto It = Shards[I].Set.begin(); It != Shards[I].Set.end();)
-        Out.insert(std::move(Shards[I].Set.extract(It++).value()));
+      Shard &Sh = Shards[I];
+      std::lock_guard<std::mutex> L(Sh.M);
+      for (auto It = Sh.Set.begin(); It != Sh.Set.end();)
+        Out.insert(std::move(Sh.Set.extract(It++).value()));
     }
     Count.store(0, std::memory_order_relaxed);
-    Bytes.store(0, std::memory_order_relaxed);
-  }
-
-  unsigned numShards() const { return NumShards; }
-
-  /// Calls \p F(const std::string &Key) for every element, shard by shard
-  /// under each shard's lock. Callers must have quiesced inserters.
-  template <typename Fn> void forEach(Fn F) const {
-    for (unsigned I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> L(Shards[I].M);
-      for (const std::string &K : Shards[I].Set)
-        F(K);
-    }
-  }
-
-  /// Checkpoint support: dumps all keys (shard placement is recomputed on
-  /// restore, so the shard count may even differ between save and load).
-  void save(BinWriter &W) const {
-    W.u64(size());
-    forEach([&](const std::string &K) { W.str(K); });
-  }
-
-  bool restore(BinReader &R) {
-    uint64_t N = R.u64();
-    if (R.fail())
-      return false;
-    for (uint64_t I = 0; I != N; ++I) {
-      std::string K = R.str();
-      if (R.fail())
-        return false;
-      insert(std::move(K));
-    }
-    return true;
-  }
-
-  /// Empties the set and resets the byte accounting (used when the
-  /// governor downgrades to bitstate storage and frees the exact set).
-  void clear() {
-    for (unsigned I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> L(Shards[I].M);
-      Shards[I].Set.clear();
-    }
-    Count.store(0, std::memory_order_relaxed);
-    Bytes.store(0, std::memory_order_relaxed);
   }
 
 private:
+  static constexpr unsigned NumShards = 256;
+
   /// Cache-line-sized shard so neighboring locks do not false-share.
   struct alignas(64) Shard {
-    mutable std::mutex M;
+    std::mutex M;
     std::unordered_set<std::string, StateKeyHash> Set;
   };
 
-  Shard &shardFor(uint64_t H) {
-    return Shards[(H >> 48) & (NumShards - 1)];
-  }
-  const Shard &shardFor(uint64_t H) const {
+  Shard &shardFor(const std::string &Key) {
+    uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Key.data()),
+                           Key.size());
     return Shards[(H >> 48) & (NumShards - 1)];
   }
 
-  std::unique_ptr<Shard[]> Shards;
-  unsigned NumShards;
+  std::unique_ptr<Shard[]> Shards = std::make_unique<Shard[]>(NumShards);
   std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Bytes{0};
 };
 
 } // namespace rocker

@@ -6,17 +6,14 @@
 /// product state, the state is split into *components* — one ⟨pc, Φ⟩
 /// chunk per thread plus one or more memory-subsystem chunks — and each
 /// component is hash-consed into a per-slot intern table. A visited state
-/// is then only a tuple of 32-bit component ids — and in the sequential
-/// engine that tuple is itself collapsed by LTSmin-style tree
-/// compression: adjacent ids are interned pairwise, level by level, so a
-/// state is ultimately one entry in the root table (a pair, or a triple
-/// when an odd leftover chunk survives to the end). Successive states
-/// share subtrees, making the inner tables sublinear; the asymptotic
-/// per-state cost drops from the full key (often 100+ heap bytes) to one
-/// 8–12-byte root entry plus ~6 index bytes. The sharded
-/// (parallel) variant keeps the tuples flat in a per-shard arena —
-/// 4·NumSlots bytes per state — trading some compression for lock-free-ish
-/// striping.
+/// is then only a tuple of 32-bit component ids — and that tuple is
+/// itself collapsed by LTSmin-style tree compression: adjacent ids are
+/// interned pairwise, level by level, so a state is ultimately one entry
+/// in the root table (a pair, or a triple when an odd leftover chunk
+/// survives to the end). Successive states share subtrees, making the
+/// inner tables sublinear; the asymptotic per-state cost drops from the
+/// full key (often 100+ heap bytes) to one 8–12-byte root entry plus ~6
+/// index bytes.
 ///
 /// All hash tables here key near-sequential dense ids, so probing uses
 /// the full-avalanche hashMix64 (support/Hashing.h) rather than a plain
@@ -36,10 +33,10 @@
 /// that slot; the chunk decomposition then induces exactly the same state
 /// equality as the full serialization.
 ///
-/// Two implementations share the format: StateInterner for the sequential
-/// engine (dense tuple ids that double as state ids) and
-/// ShardedStateInterner for the work-stealing engine (striped locks, as
-/// in support/ShardedSet.h).
+/// Two implementations share the format: StateInterner here for the
+/// sequential engine (dense tuple ids that double as state ids) and
+/// LockFreeStateInterner (support/LockFreeVisited.h) for the
+/// work-stealing engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,15 +47,11 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -169,14 +162,6 @@ inline uint64_t stringNodeBytes(size_t KeyLen, size_t MappedBytes) {
   return B;
 }
 
-/// Incremental tuple hash over component ids.
-inline uint64_t hashTuple(const uint32_t *Ids, unsigned N) {
-  uint64_t H = 0x9e3779b97f4a7c15ull ^ N;
-  for (unsigned I = 0; I != N; ++I)
-    H = hashCombine(H, Ids[I]);
-  return H;
-}
-
 namespace detail {
 
 /// Dense byte-string interner backing the sequential component tables:
@@ -232,13 +217,20 @@ public:
     W.bytes(Starts.data(), Starts.size() * sizeof(uint32_t));
   }
 
+  /// Rejects a count the payload cannot hold and start offsets that are
+  /// decreasing or past the arena: length() and hashing index by them.
   bool restore(BinReader &R) {
     Num = R.u32();
     Data = R.str();
+    if (R.fail() || Num > R.remaining() / sizeof(uint32_t))
+      return false;
     Starts.resize(Num);
     R.bytes(Starts.data(), Starts.size() * sizeof(uint32_t));
     if (R.fail())
       return false;
+    for (uint32_t Id = 0; Id != Num; ++Id)
+      if (Starts[Id] > Data.size() || (Id && Starts[Id] < Starts[Id - 1]))
+        return false;
     size_t Cap = 64;
     while ((static_cast<uint64_t>(Num) + 1) * 10 >= Cap * 7)
       Cap *= 2;
@@ -319,6 +311,14 @@ public:
   /// Packed ⟨left, right⟩ of entry \p Id (left in the high 32 bits).
   uint64_t pairAt(uint32_t Id) const { return Pairs[Id]; }
 
+  /// True when every entry's left id is below \p A and right id below
+  /// \p B (the sizes of the tables the ids index).
+  bool idsBelow(uint32_t A, uint32_t B) const {
+    return std::all_of(Pairs.begin(), Pairs.end(), [&](uint64_t P) {
+      return (P >> 32) < A && static_cast<uint32_t>(P) < B;
+    });
+  }
+
   void save(BinWriter &W) const {
     W.u32(Num);
     W.bytes(Pairs.data(), Pairs.size() * sizeof(uint64_t));
@@ -326,6 +326,8 @@ public:
 
   bool restore(BinReader &R) {
     Num = R.u32();
+    if (R.fail() || Num > R.remaining() / sizeof(uint64_t))
+      return false;
     Pairs.resize(Num);
     R.bytes(Pairs.data(), Pairs.size() * sizeof(uint64_t));
     if (R.fail())
@@ -402,6 +404,14 @@ public:
     return Triples.data() + Id * 3u;
   }
 
+  /// As PairTable::idsBelow, per position of the triple.
+  bool idsBelow(const uint32_t Bound[3]) const {
+    for (size_t I = 0; I != Triples.size(); ++I)
+      if (Triples[I] >= Bound[I % 3])
+        return false;
+    return true;
+  }
+
   void save(BinWriter &W) const {
     W.u32(Num);
     W.bytes(Triples.data(), Triples.size() * sizeof(uint32_t));
@@ -409,6 +419,8 @@ public:
 
   bool restore(BinReader &R) {
     Num = R.u32();
+    if (R.fail() || Num > R.remaining() / (3 * sizeof(uint32_t)))
+      return false;
     Triples.resize(static_cast<size_t>(Num) * 3);
     R.bytes(Triples.data(), Triples.size() * sizeof(uint32_t));
     if (R.fail())
@@ -522,12 +534,31 @@ public:
   }
 
   /// Restores into a TreeArena constructed with the same NumLeaves (the
-  /// table layout is a pure function of it).
-  bool restore(BinReader &R) {
+  /// table layout is a pure function of it). \p Sizes holds each leaf
+  /// slot's entry count: every stored id must name an entry of the slot
+  /// or table below it, or forEachTuple would index past that table.
+  bool restore(BinReader &R, std::vector<uint32_t> Sizes) {
     for (PairTable &T : Tables)
       if (!T.restore(R))
         return false;
-    return !Root3 || Root3->restore(R);
+    if (Root3 && !Root3->restore(R))
+      return false;
+    // Replay insert()'s reduction over table sizes instead of ids.
+    unsigned Table = 0;
+    while (Sizes.size() > 3) {
+      std::vector<uint32_t> Next;
+      for (size_t I = 0; I + 1 < Sizes.size(); I += 2) {
+        const PairTable &T = Tables[Table++];
+        if (!T.idsBelow(Sizes[I], Sizes[I + 1]))
+          return false;
+        Next.push_back(T.size());
+      }
+      if (Sizes.size() & 1)
+        Next.push_back(Sizes.back());
+      Sizes.swap(Next);
+    }
+    return Root3 ? Root3->idsBelow(Sizes.data())
+                 : Tables[Table].idsBelow(Sizes[0], Sizes[1]);
   }
 
   /// Unwinds every stored root entry back into its NumLeaves-sized tuple
@@ -577,71 +608,6 @@ private:
   std::vector<PairTable> Tables;
   std::optional<TripleTable> Root3; ///< Set when the reduction ends at 3.
   std::vector<uint32_t> Scratch;
-};
-
-/// Fixed-width tuples of component ids in a flat arena, deduplicated via
-/// an open-addressing index (entry = tuple id + 1; 0 = empty). Tuple ids
-/// are dense in insertion order. Used by the sharded (parallel) interner,
-/// where the single-owner TreeArena above cannot be striped cheaply; the
-/// sequential interner uses tree compression instead.
-class TupleArena {
-public:
-  explicit TupleArena(unsigned Width) : Width(Width), Index(64, 0) {}
-
-  /// Inserts the Width-sized tuple; returns {dense id, was-new}.
-  std::pair<uint64_t, bool> insert(const uint32_t *Ids) {
-    return insertHashed(Ids, hashTuple(Ids, Width));
-  }
-
-  /// As insert(), with the tuple hash supplied by the caller (the sharded
-  /// variant hashes once to pick the shard).
-  std::pair<uint64_t, bool> insertHashed(const uint32_t *Ids, uint64_t H) {
-    if ((Num + 1) * 10 >= Index.size() * 7) // Load factor cap 0.7.
-      grow();
-    uint64_t Mask = Index.size() - 1;
-    for (uint64_t Slot = H & Mask;; Slot = (Slot + 1) & Mask) {
-      if (!Index[Slot]) {
-        Index[Slot] = Num + 1;
-        Arena.insert(Arena.end(), Ids, Ids + Width);
-        return {Num++, true};
-      }
-      uint64_t T = Index[Slot] - 1;
-      if (std::equal(Ids, Ids + Width, Arena.data() + T * Width))
-        return {T, false};
-    }
-  }
-
-  uint64_t size() const { return Num; }
-
-  /// Actual bytes held: arena payload plus index slots.
-  uint64_t bytes() const {
-    return Arena.size() * sizeof(uint32_t) + Index.size() * sizeof(uint64_t);
-  }
-
-  /// Calls \p F(const uint32_t *Tuple) for each stored tuple in dense id
-  /// order.
-  template <typename Fn> void forEach(Fn F) const {
-    for (uint64_t T = 0; T != Num; ++T)
-      F(Arena.data() + T * Width);
-  }
-
-private:
-  void grow() {
-    std::vector<uint64_t> Next(Index.size() * 2, 0);
-    uint64_t Mask = Next.size() - 1;
-    for (uint64_t T = 0; T != Num; ++T) {
-      uint64_t Slot = hashTuple(Arena.data() + T * Width, Width) & Mask;
-      while (Next[Slot])
-        Slot = (Slot + 1) & Mask;
-      Next[Slot] = T + 1;
-    }
-    Index = std::move(Next);
-  }
-
-  unsigned Width;
-  std::vector<uint32_t> Arena;
-  std::vector<uint64_t> Index;
-  uint64_t Num = 0;
 };
 
 } // namespace detail
@@ -711,7 +677,10 @@ public:
     for (detail::ByteArena &S : Slots)
       if (!S.restore(R))
         return false;
-    return Tuples.restore(R);
+    std::vector<uint32_t> Sizes;
+    for (const detail::ByteArena &S : Slots)
+      Sizes.push_back(S.size());
+    return Tuples.restore(R, std::move(Sizes));
   }
 
   /// Reassembles every stored state's raw serialized key — components
@@ -737,213 +706,6 @@ private:
   std::vector<detail::ByteArena> Slots;
   detail::TreeArena Tuples;
   uint64_t RawBytes = 0;
-};
-
-/// The concurrent variant for the work-stealing engine: component tables
-/// and the tuple set are striped-locked (same rationale as
-/// support/ShardedSet.h — the critical sections are single hash-table
-/// operations and contention per shard is low). Tuple ids are not exposed
-/// (the parallel engine keeps no state store); insert() only reports
-/// newness. Component ids are unique per slot but not dense.
-class ShardedStateInterner {
-public:
-  /// \p TupleShardCountLog2 selects 2^k tuple shards (clamped to [0,16]);
-  /// component tables use a fixed small stripe count per slot.
-  explicit ShardedStateInterner(unsigned NumSlots,
-                                unsigned TupleShardCountLog2 = 8)
-      : Slots(NumSlots) {
-    if (TupleShardCountLog2 > 16)
-      TupleShardCountLog2 = 16;
-    NumTupleShards = 1u << TupleShardCountLog2;
-    TupleShards = std::make_unique<TupleShard[]>(NumTupleShards);
-    for (unsigned I = 0; I != NumTupleShards; ++I)
-      TupleShards[I].Tuples.emplace(NumSlots);
-  }
-
-  ShardedStateInterner(const ShardedStateInterner &) = delete;
-  ShardedStateInterner &operator=(const ShardedStateInterner &) = delete;
-
-  unsigned numSlots() const { return static_cast<unsigned>(Slots.size()); }
-
-  uint32_t internComponent(unsigned Slot, const std::string &Bytes) {
-    SlotTable &T = Slots[Slot];
-    uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Bytes.data()),
-                           Bytes.size());
-    // High bits pick the stripe; the table uses the low bits (see
-    // ShardedSet.h on decorrelation).
-    SlotTable::Stripe &S = T.Stripes[(H >> 48) % SlotStripes];
-    std::lock_guard<std::mutex> L(S.M);
-    auto It = S.Map.find(Bytes);
-    if (It != S.Map.end())
-      return It->second;
-    uint32_t Id = T.NextId.fetch_add(1, std::memory_order_relaxed);
-    S.Map.emplace(Bytes, Id);
-    CompBytes.fetch_add(stringNodeBytes(Bytes.size(), sizeof(uint32_t)),
-                        std::memory_order_relaxed);
-    return Id;
-  }
-
-  /// Inserts the tuple; returns true iff it was new (see StateInterner::
-  /// insertTuple for RawKeyEstimate).
-  bool insertTuple(const uint32_t *Ids, uint64_t RawKeyEstimate) {
-    uint64_t H = hashTuple(Ids, numSlots());
-    TupleShard &Sh = TupleShards[(H >> 48) & (NumTupleShards - 1)];
-    std::lock_guard<std::mutex> L(Sh.M);
-    if (!Sh.Tuples->insertHashed(Ids, H).second)
-      return false;
-    Count.fetch_add(1, std::memory_order_relaxed);
-    RawBytes.fetch_add(RawKeyEstimate, std::memory_order_relaxed);
-    return true;
-  }
-
-  uint64_t size() const { return Count.load(std::memory_order_relaxed); }
-
-  /// Actual bytes held. Exact once all inserters have quiesced (call
-  /// after the worker join, like ShardedStateSet::size()).
-  uint64_t bytesUsed() const {
-    uint64_t B = CompBytes.load(std::memory_order_relaxed);
-    for (unsigned I = 0; I != NumTupleShards; ++I) {
-      std::lock_guard<std::mutex> L(TupleShards[I].M);
-      B += TupleShards[I].Tuples->bytes();
-    }
-    return B;
-  }
-
-  uint64_t rawBytes() const {
-    return RawBytes.load(std::memory_order_relaxed);
-  }
-
-  /// Checkpoint support. Callers must have quiesced all inserters (workers
-  /// parked or joined); the stripe/shard locks are still taken so the dump
-  /// is race-free under TSan regardless.
-  void save(BinWriter &W) const {
-    W.u64(Count.load(std::memory_order_relaxed));
-    W.u64(CompBytes.load(std::memory_order_relaxed));
-    W.u64(RawBytes.load(std::memory_order_relaxed));
-    for (const SlotTable &T : Slots) {
-      W.u32(T.NextId.load(std::memory_order_relaxed));
-      uint64_t N = 0;
-      for (const SlotTable::Stripe &S : T.Stripes) {
-        std::lock_guard<std::mutex> L(S.M);
-        N += S.Map.size();
-      }
-      W.u64(N);
-      for (const SlotTable::Stripe &S : T.Stripes) {
-        std::lock_guard<std::mutex> L(S.M);
-        for (const auto &[Bytes, Id] : S.Map) {
-          W.str(Bytes);
-          W.u32(Id);
-        }
-      }
-    }
-    uint64_t TupN = 0;
-    for (unsigned I = 0; I != NumTupleShards; ++I) {
-      std::lock_guard<std::mutex> L(TupleShards[I].M);
-      TupN += TupleShards[I].Tuples->size();
-    }
-    W.u64(TupN);
-    for (unsigned I = 0; I != NumTupleShards; ++I) {
-      std::lock_guard<std::mutex> L(TupleShards[I].M);
-      TupleShards[I].Tuples->forEach([&](const uint32_t *Ids) {
-        W.bytes(Ids, numSlots() * sizeof(uint32_t));
-      });
-    }
-  }
-
-  /// Restores a save() dump. Component ids are preserved exactly (the
-  /// stored tuples reference them); stripe and shard placement is a pure
-  /// function of the bytes, so lookups after restore behave identically.
-  bool restore(BinReader &R) {
-    Count.store(R.u64(), std::memory_order_relaxed);
-    CompBytes.store(R.u64(), std::memory_order_relaxed);
-    RawBytes.store(R.u64(), std::memory_order_relaxed);
-    for (SlotTable &T : Slots) {
-      T.NextId.store(R.u32(), std::memory_order_relaxed);
-      uint64_t N = R.u64();
-      if (R.fail())
-        return false;
-      for (uint64_t I = 0; I != N; ++I) {
-        std::string Bytes = R.str();
-        uint32_t Id = R.u32();
-        if (R.fail())
-          return false;
-        uint64_t H = hashBytes(
-            reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size());
-        SlotTable::Stripe &S = T.Stripes[(H >> 48) % SlotStripes];
-        std::lock_guard<std::mutex> L(S.M);
-        S.Map.emplace(std::move(Bytes), Id);
-      }
-    }
-    uint64_t TupN = R.u64();
-    if (R.fail())
-      return false;
-    std::vector<uint32_t> Ids(numSlots());
-    for (uint64_t I = 0; I != TupN; ++I) {
-      R.bytes(Ids.data(), Ids.size() * sizeof(uint32_t));
-      if (R.fail())
-        return false;
-      uint64_t H = hashTuple(Ids.data(), numSlots());
-      TupleShard &Sh = TupleShards[(H >> 48) & (NumTupleShards - 1)];
-      std::lock_guard<std::mutex> L(Sh.M);
-      Sh.Tuples->insertHashed(Ids.data(), H);
-    }
-    return !R.fail();
-  }
-
-  /// As StateInterner::forEachRawKey: reassembles each stored state's raw
-  /// key in emission order and calls \p F(const std::string &). Requires
-  /// quiesced inserters (locks are taken per stripe/shard, but the id →
-  /// bytes table is built once up front).
-  template <typename Fn>
-  void forEachRawKey(const std::vector<uint32_t> &EmissionToSlot,
-                     Fn F) const {
-    std::vector<std::vector<const std::string *>> ById(Slots.size());
-    for (unsigned Slot = 0; Slot != Slots.size(); ++Slot) {
-      const SlotTable &T = Slots[Slot];
-      ById[Slot].resize(T.NextId.load(std::memory_order_relaxed), nullptr);
-      for (const SlotTable::Stripe &S : T.Stripes) {
-        std::lock_guard<std::mutex> L(S.M);
-        for (const auto &[Bytes, Id] : S.Map)
-          ById[Slot][Id] = &Bytes;
-      }
-    }
-    std::string Key;
-    for (unsigned I = 0; I != NumTupleShards; ++I) {
-      std::lock_guard<std::mutex> L(TupleShards[I].M);
-      TupleShards[I].Tuples->forEach([&](const uint32_t *Ids) {
-        Key.clear();
-        for (uint32_t Slot : EmissionToSlot)
-          Key += *ById[Slot][Ids[Slot]];
-        F(Key);
-      });
-    }
-  }
-
-private:
-  static constexpr unsigned SlotStripes = 16;
-
-  struct SlotTable {
-    struct alignas(64) Stripe {
-      mutable std::mutex M;
-      std::unordered_map<std::string, uint32_t, StateKeyHash> Map;
-    };
-    Stripe Stripes[SlotStripes];
-    std::atomic<uint32_t> NextId{0};
-  };
-
-  struct alignas(64) TupleShard {
-    mutable std::mutex M;
-    /// Deferred construction: the arena width is only known at
-    /// ShardedStateInterner construction.
-    std::optional<detail::TupleArena> Tuples;
-  };
-
-  std::vector<SlotTable> Slots;
-  std::unique_ptr<TupleShard[]> TupleShards;
-  unsigned NumTupleShards;
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> CompBytes{0};
-  std::atomic<uint64_t> RawBytes{0};
 };
 
 } // namespace rocker

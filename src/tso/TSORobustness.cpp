@@ -83,7 +83,6 @@ ExploreResult collectStates(const Program &P, const MemSys &Mem,
     PE.CollectProgramStates = true;
     PE.RecordTrace = false;
     PE.CompressVisited = Opts.CompressVisited;
-    PE.Visited = Opts.Visited;
     PE.LockFreeLog2 = Opts.LockFreeLog2;
     PE.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
     PE.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;

@@ -45,9 +45,6 @@ struct TSOOptions {
   /// Collapse-compressed visited sets for both explorations (exact; see
   /// ExploreOptions::CompressVisited).
   bool CompressVisited = defaultCompressVisited();
-  /// Parallel-engine visited tier (see ParExploreOptions::Visited);
-  /// ignored at Threads <= 1.
-  VisitedImpl Visited = defaultVisitedImpl();
   /// Initial lock-free root-table log2 (see ParExploreOptions).
   unsigned LockFreeLog2 = 0;
   /// Ample-set partial-order reduction (explore/Por.h). Plumbed through

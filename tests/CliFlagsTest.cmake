@@ -23,6 +23,10 @@ expect_usage(${ROCKER_CLI} --threads -4 SB)
 expect_usage(${ROCKER_CLI} --max-states 10q SB)
 expect_usage(${ROCKER_CLI} --max-seconds abc SB)
 expect_usage(${ROCKER_CLI} --bitstate 2.5 SB)
+# Bitstate widths outside [6, 36]: fewer bits than one array word, or a
+# shift past 64 bits.
+expect_usage(${ROCKER_CLI} --bitstate 3 SB)
+expect_usage(${ROCKER_CLI} --bitstate 100 SB)
 expect_usage(${ROCKER_CLI} --mem-budget 1MB SB)
 expect_usage(${ROCKER_CLI} --deadline=1.5s SB)
 expect_usage(${ROCKER_CLI} --watchdog " 5" SB)
@@ -31,6 +35,8 @@ expect_usage(${ROCKER_CLI} --sample-seed 0x10 SB)
 expect_usage(${ROCKER_CLI} --progress=abc SB)
 expect_usage(${ROCKER_CLI} --jobs 2x --batch nothing.json)
 expect_usage(${CMAKE_COMMAND} -E env ROCKER_PROGRESS=abc ${ROCKER_CLI} SB)
+# --visited is not an option.
+expect_usage(${ROCKER_CLI} --visited=striped SB)
 
 # fig7_table: the sampling knobs.
 expect_usage(${FIG7} --samples 12x)

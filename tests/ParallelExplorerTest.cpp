@@ -295,7 +295,7 @@ TEST(ParallelExplorer, WorkerCountersAgreeAcrossEngines) {
 }
 
 TEST(ShardedStateSet, InsertContainsDrain) {
-  ShardedStateSet Set(4);
+  ShardedStateSet Set;
   EXPECT_TRUE(Set.insert("alpha"));
   EXPECT_FALSE(Set.insert("alpha"));
   EXPECT_TRUE(Set.insert("beta"));

@@ -77,6 +77,26 @@ RockerOptions baseOpts(unsigned Threads) {
   return O;
 }
 
+/// Container header bytes before the payload: magic, version, config
+/// hash, length, payload hash (the last at offset 24).
+constexpr size_t CkptHeaderBytes = 32;
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+/// Writes a patched checkpoint file (header included) to \p Path with its
+/// payload hash recomputed, so only the payload decoder can object.
+void writeRehashed(const std::string &Path, std::string Data) {
+  uint64_t Hash = hashBytes(
+      reinterpret_cast<const uint8_t *>(Data.data()) + CkptHeaderBytes,
+      Data.size() - CkptHeaderBytes);
+  std::memcpy(&Data[24], &Hash, sizeof(Hash));
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out << Data;
+}
+
 /// The resumed run must be indistinguishable from the uninterrupted one:
 /// same verdict, same exact full-sweep counters, same violations.
 void expectSameOutcome(const RockerReport &Ref, const RockerReport &Got,
@@ -551,29 +571,77 @@ TEST(Resilience, OutOfRangeTraceEdgeIsRejected) {
   Mid.Resilience.CheckpointPath = Ckpt.Path;
   ASSERT_FALSE(checkRobustness(P, Mid).Complete);
 
-  std::string Data;
-  {
-    std::ifstream In(Ckpt.Path, std::ios::binary);
-    Data.assign(std::istreambuf_iterator<char>(In), {});
-  }
-  const size_t HeaderBytes = 32; // magic, version, config, length, hash
-  ASSERT_GT(Data.size(), HeaderBytes + 9);
+  std::string Data = readFile(Ckpt.Path);
+  ASSERT_GT(Data.size(), CkptHeaderBytes + 9);
   Data[Data.size() - 8] = 0;   // Flags: a local step...
   Data[Data.size() - 2] = 127; // ...at a pc past every thread's end.
-  uint64_t Hash =
-      hashBytes(reinterpret_cast<const uint8_t *>(Data.data()) + HeaderBytes,
-                Data.size() - HeaderBytes);
-  std::memcpy(&Data[24], &Hash, sizeof(Hash));
-  {
-    std::ofstream Out(Ckpt.Path, std::ios::binary | std::ios::trunc);
-    Out << Data;
-  }
+  writeRehashed(Ckpt.Path, Data);
 
   RockerOptions RO = baseOpts(1);
   RO.StopOnViolation = false;
   RO.Resilience.ResumePath = Ckpt.Path;
   RockerReport R = checkRobustness(P, RO);
   EXPECT_EQ(R.Stats.Resilience.ResumeError, "corrupt checkpoint: trace edge");
+  EXPECT_FALSE(R.Complete);
+}
+
+TEST(Resilience, OutOfRangeBitstateWidthIsRejected) {
+  // The sequential payload keeps the bitstate width in one byte and the
+  // array's word count in another. A width outside [6, 36] would index
+  // or shift past the array, and so would an in-range width that
+  // disagrees with the word count.
+  Program P = findCorpusEntry("peterson-ra").parse();
+  ScopedFile Ckpt(tmpPath("bad-bitk"));
+  RockerOptions Opts = baseOpts(1);
+  Opts.BitstateLog2 = 16;
+  RockerOptions Mid = Opts;
+  Mid.MaxStates = 40;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  const std::string Good = readFile(Ckpt.Path);
+  // Engine, rung, order and trace bytes; twelve u64 counters; an empty
+  // downgrade list; three checkpoint totals; then the width.
+  const size_t BitKAt = CkptHeaderBytes + 4 + 12 * 8 + 1 + 3 * 8;
+  ASSERT_GT(Good.size(), BitKAt);
+  ASSERT_EQ(Good[BitKAt], 16) << "the payload layout moved the width";
+  for (auto [K, Error] :
+       {std::pair{3, "corrupt checkpoint: bitstate header"},
+        std::pair{37, "corrupt checkpoint: bitstate header"},
+        std::pair{17, "corrupt checkpoint: bitstate size"}}) {
+    std::string Bad = Good;
+    Bad[BitKAt] = static_cast<char>(K);
+    writeRehashed(Ckpt.Path, Bad);
+    RockerOptions RO = Opts;
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError, Error) << "K=" << K;
+    EXPECT_FALSE(R.Complete) << "K=" << K;
+  }
+}
+
+TEST(Resilience, StateCountBeyondPayloadIsRejected) {
+  // A DFS run with traces stores one trace edge per state, so the state
+  // count bounds the edge table it restores: a count the payload cannot
+  // hold must be refused before anything is sized by it.
+  Program P = findCorpusEntry("dekker-sc").parse();
+  ScopedFile Ckpt(tmpPath("bad-count"));
+  RockerOptions Opts = baseOpts(1);
+  Opts.StopOnViolation = false;
+  Opts.Order = SearchOrder::DFS;
+  RockerOptions Mid = Opts;
+  Mid.MaxStates = 40;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  // The state count follows the engine, rung, order and trace bytes.
+  std::string Data = readFile(Ckpt.Path);
+  ASSERT_GT(Data.size(), CkptHeaderBytes + 12);
+  const uint64_t N = uint64_t{1} << 60;
+  std::memcpy(&Data[CkptHeaderBytes + 4], &N, sizeof(N));
+  writeRehashed(Ckpt.Path, Data);
+  RockerOptions RO = Opts;
+  RO.Resilience.ResumePath = Ckpt.Path;
+  RockerReport R = checkRobustness(P, RO);
+  EXPECT_EQ(R.Stats.Resilience.ResumeError, "corrupt checkpoint: state count");
   EXPECT_FALSE(R.Complete);
 }
 

@@ -506,7 +506,7 @@ TEST(ServeBatch, ManifestParsesDefaultsAndOverrides) {
     "jobs": [
       { "program": "SB" },
       { "program": "MP", "mode": "sc", "name": "mp-under-sc" },
-      { "program": "peterson-ra", "max_states": 77 }
+      { "program": "peterson-ra", "max_states": 77, "bitstate_log2": 36 }
     ]
   })";
   std::string Err;
@@ -521,6 +521,7 @@ TEST(ServeBatch, ManifestParsesDefaultsAndOverrides) {
   EXPECT_EQ((*Jobs)[1].Mode, "sc");
   EXPECT_EQ((*Jobs)[2].Opts.MaxStates, 77u);
   EXPECT_EQ((*Jobs)[2].Opts.Threads, 2u); // Defaults still apply.
+  EXPECT_EQ((*Jobs)[2].Opts.BitstateLog2, 36u);
 }
 
 TEST(ServeBatch, ManifestRejectsBadInput) {
@@ -552,6 +553,19 @@ TEST(ServeBatch, ManifestRejectsBadInput) {
               "jobs":[{"program":"SB","file":"x.rkr"}]})",
           &Err)
           .has_value());
+
+  // Bitstate widths outside [6, 36] (0 means off) would index or shift
+  // past the bit array.
+  for (const char *K : {"3", "37", "100"}) {
+    EXPECT_FALSE(serve::parseBatchManifest(
+                     std::string(R"({"schema":"rocker-batch-manifest/1",
+                       "jobs":[{"program":"SB","bitstate_log2":)") +
+                         K + "}]}",
+                     &Err)
+                     .has_value())
+        << K;
+    EXPECT_NE(Err.find("bitstate_log2"), std::string::npos) << Err;
+  }
 
   // Unresolvable corpus names are errors too.
   EXPECT_FALSE(serve::parseBatchManifest(

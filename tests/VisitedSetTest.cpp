@@ -12,14 +12,15 @@
 //  * interner round-trip identity: with compression on, verdicts, state/
 //    transition/dedup counts, and violation reports are byte-identical to
 //    the raw visited set, corpus-wide, at 1 and 4 threads.
-//  * unit tests of StateInterner / ShardedStateInterner themselves.
+//  * unit tests of StateInterner itself, including restores of corrupt
+//    checkpoint payloads.
 //  * the lock-free visited tier (support/LockFreeVisited.h): CAS-table
 //    unit tests (concurrent exactness, ids stable across concurrent
 //    growth, save/restore by id, sticky full()), checkpoint resume after
 //    growth and rejection of retired checkpoint formats, governor
-//    charging, and lock-free-vs-striped verdict/count equivalence at 1,
-//    4, and 16 workers (16 is oversubscribed on small machines — that is
-//    the point: heavy interleaving, same answers).
+//    charging, and parallel-vs-sequential verdict/count equivalence at
+//    1, 4, and 16 workers (16 is oversubscribed on small machines — that
+//    is the point: heavy interleaving, same answers).
 //
 //===----------------------------------------------------------------------===//
 
@@ -256,28 +257,98 @@ TEST(StateInterner, SurvivesIndexGrowth) {
   EXPECT_EQ(In.size(), 10000u);
 }
 
-TEST(ShardedStateInterner, ConcurrentInsertsAreExact) {
-  // All workers intern the same component strings and tuples; the final
-  // count must be exact regardless of interleaving.
-  constexpr uint32_t N = 20000;
-  ShardedStateInterner In(2, 4);
-  auto Work = [&] {
-    for (uint32_t I = 0; I != N; ++I) {
-      std::string C0 = "c" + std::to_string(I % 97);
-      std::string C1 = "d" + std::to_string(I);
-      uint32_t T[2] = {In.internComponent(0, C0),
-                       In.internComponent(1, C1)};
-      In.insertTuple(T, 10);
+namespace {
+
+/// save() output of an interner with \p Slots slots: slot 0 holds two
+/// 20-byte components (past the small-string buffer, so the arena's bytes
+/// live on the heap), every other slot one, and one tuple is stored.
+/// Layout: u64 raw-byte estimate; per slot a u32 count, the arena bytes
+/// behind a one-byte length, one u32 start offset per entry; then the
+/// tree tables, whose root (a pair table for 2 slots, a triple table for
+/// 3) holds a u32 count and the entries.
+std::string internerPayload(unsigned Slots) {
+  StateInterner In(Slots);
+  std::vector<uint32_t> Tuple(Slots);
+  Tuple[0] = In.internComponent(0, std::string(20, 'a'));
+  In.internComponent(0, std::string(20, 'b'));
+  for (unsigned S = 1; S != Slots; ++S)
+    Tuple[S] = In.internComponent(S, "x");
+  In.insertTuple(Tuple.data(), 10);
+  BinWriter W;
+  In.save(W);
+  return W.Buf;
+}
+
+constexpr size_t Slot0CountAt = 8;
+constexpr size_t Slot0StartsAt = Slot0CountAt + 4 + 1 + 40;
+size_t rootCountAt(unsigned Slots) {
+  return Slot0StartsAt + 2 * 4 + (Slots - 1) * (4 + 1 + 1 + 4);
+}
+
+bool restores(unsigned Slots, const std::string &Buf) {
+  StateInterner In(Slots);
+  BinReader R(Buf);
+  return In.restore(R);
+}
+
+void putU32(std::string &Buf, size_t At, uint32_t V) {
+  std::memcpy(&Buf[At], &V, sizeof(V));
+}
+
+} // namespace
+
+TEST(StateInterner, RestoreRejectsCorruptArenaOffsets) {
+  // Start offsets delimit each component's bytes; restore hashes every
+  // component by them, so one past the arena or one below its
+  // predecessor must be refused rather than read out of bounds.
+  const std::string Good = internerPayload(2);
+  uint32_t Second = 0;
+  std::memcpy(&Second, &Good[Slot0StartsAt + 4], sizeof(Second));
+  ASSERT_EQ(Second, 20u) << "the payload layout moved";
+  EXPECT_TRUE(restores(2, Good));
+
+  std::string Past = Good;
+  putU32(Past, Slot0StartsAt + 4, 1000);
+  EXPECT_FALSE(restores(2, Past));
+
+  std::string Down = Good;
+  putU32(Down, Slot0StartsAt, 30);
+  EXPECT_FALSE(restores(2, Down));
+}
+
+TEST(StateInterner, RestoreRejectsCountsBeyondPayload) {
+  // Every table's entry count is checked against the bytes left before
+  // anything is sized by it: the arena's offsets, the pair root, the
+  // triple root.
+  for (unsigned Slots : {2u, 3u}) {
+    const std::string Good = internerPayload(Slots);
+    ASSERT_EQ(Good.size(),
+              rootCountAt(Slots) + 4 + (Slots == 2 ? 8 : 12))
+        << "the payload layout moved";
+    EXPECT_TRUE(restores(Slots, Good)) << Slots;
+    for (size_t At : {Slot0CountAt, rootCountAt(Slots)}) {
+      std::string Bad = Good;
+      putU32(Bad, At, UINT32_MAX);
+      EXPECT_FALSE(restores(Slots, Bad)) << Slots << " @" << At;
     }
-  };
-  std::vector<std::thread> Threads;
-  for (unsigned W = 0; W != 4; ++W)
-    Threads.emplace_back(Work);
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(In.size(), N);
-  EXPECT_GT(In.bytesUsed(), 0u);
-  EXPECT_EQ(In.rawBytes(), N * 10u);
+  }
+}
+
+TEST(StateInterner, RestoreRejectsIdsPastTheirTable) {
+  // Tree entries hold the ids of the slot or table below them; unwinding
+  // a state (bitstate seeding after a downgrade) indexes by them, so an
+  // id past its table's end must be refused at restore. Slot 0 holds two
+  // components, every other slot one.
+  for (unsigned Slots : {2u, 3u}) {
+    std::string Bad = internerPayload(Slots);
+    // The root's one entry follows its count: a pair stores the right
+    // (slot 1) id in its low word, a triple stores slot 0's id first.
+    if (Slots == 2)
+      putU32(Bad, rootCountAt(Slots) + 4, 1);
+    else
+      putU32(Bad, rootCountAt(Slots) + 4, 2);
+    EXPECT_FALSE(restores(Slots, Bad)) << Slots;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -751,39 +822,10 @@ TEST(LockFreeVisited, GrownInternerSaveRestoreRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lock-free vs striped: identical verdicts and counts, 1/4/16 workers
+// Parallel vs sequential: identical verdicts and counts, 1/4/16 workers
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-RockerOptions implOpts(unsigned Threads, VisitedImpl V) {
-  RockerOptions O = fullOpts(Threads, true);
-  O.Visited = V;
-  return O;
-}
-
-} // namespace
-
-TEST(LockFreeVisited, CorpusCountsIdenticalToStripedAt4Threads) {
-  unsigned Compared = 0;
-  for (const auto &[Name, P] : loadCorpusDir()) {
-    RockerReport Lf =
-        checkRobustness(P, implOpts(4, VisitedImpl::LockFree));
-    RockerReport Str =
-        checkRobustness(P, implOpts(4, VisitedImpl::Striped));
-    if (!Lf.Complete || !Str.Complete)
-      continue;
-    EXPECT_EQ(Lf.Robust, Str.Robust) << Name;
-    EXPECT_EQ(Lf.Stats.NumStates, Str.Stats.NumStates) << Name;
-    EXPECT_EQ(Lf.Stats.NumTransitions, Str.Stats.NumTransitions) << Name;
-    EXPECT_EQ(Lf.Stats.NumDeadlockStates, Str.Stats.NumDeadlockStates)
-        << Name;
-    ++Compared;
-  }
-  EXPECT_GT(Compared, 40u);
-}
-
-TEST(LockFreeVisited, VerdictsIdenticalToStripedAt16Workers) {
+TEST(LockFreeVisited, VerdictsIdenticalToSequentialAt16Workers) {
   // Heavily oversubscribed on small machines — deliberately: more
   // preemption points, same answers required. A named mix of robust and
   // non-robust programs keeps the runtime bounded.
@@ -791,21 +833,19 @@ TEST(LockFreeVisited, VerdictsIdenticalToStripedAt16Workers) {
        {"SB", "MP", "peterson-ra", "dekker-sc", "lamport2-ra"}) {
     const CorpusEntry &E = findCorpusEntry(Name);
     Program P = E.parse();
-    RockerReport Lf =
-        checkRobustness(P, implOpts(16, VisitedImpl::LockFree));
-    RockerReport Str =
-        checkRobustness(P, implOpts(16, VisitedImpl::Striped));
-    EXPECT_EQ(Lf.Robust, E.ExpectRobust) << Name;
-    EXPECT_EQ(Lf.Robust, Str.Robust) << Name;
-    EXPECT_EQ(Lf.Stats.NumStates, Str.Stats.NumStates) << Name;
-    EXPECT_EQ(Lf.FirstViolationText, Str.FirstViolationText) << Name;
+    RockerReport Par = checkRobustness(P, fullOpts(16, true));
+    RockerReport Seq = checkRobustness(P, fullOpts(1, true));
+    EXPECT_EQ(Par.Robust, E.ExpectRobust) << Name;
+    EXPECT_EQ(Par.Robust, Seq.Robust) << Name;
+    EXPECT_EQ(Par.Stats.NumStates, Seq.Stats.NumStates) << Name;
+    EXPECT_EQ(Par.FirstViolationText, Seq.FirstViolationText) << Name;
   }
 }
 
 TEST(LockFreeVisited, SingleWorkerParallelMatchesSequential) {
   // Drives the parallel engine directly at 1 worker (checkRobustness
-  // routes Threads=1 to the sequential engine): both visited impls must
-  // reproduce the sequential state count exactly.
+  // routes Threads=1 to the sequential engine): it must reproduce the
+  // sequential state count exactly, as must 4 workers.
   for (const char *Name : {"peterson-ra", "SB"}) {
     Program P = findCorpusEntry(Name).parse();
     SCMemory Mem(P);
@@ -815,51 +855,43 @@ TEST(LockFreeVisited, SingleWorkerParallelMatchesSequential) {
     EO.CheckAssertions = false;
     ProductExplorer<SCMemory> Seq(P, Mem, EO);
     uint64_t Expect = Seq.run().Stats.NumStates;
-    for (VisitedImpl V : {VisitedImpl::LockFree, VisitedImpl::Striped}) {
-      for (unsigned Threads : {1u, 4u}) {
-        ParExploreOptions PO;
-        PO.Threads = Threads;
-        PO.RecordTrace = false;
-        PO.StopOnViolation = false;
-        PO.CheckAssertions = false;
-        PO.Visited = V;
-        ParallelExplorer<SCMemory> Ex(P, Mem, PO);
-        EXPECT_EQ(Ex.run().Stats.NumStates, Expect)
-            << Name << " " << visitedImplName(V) << " x" << Threads;
-      }
+    for (unsigned Threads : {1u, 4u}) {
+      ParExploreOptions PO;
+      PO.Threads = Threads;
+      PO.RecordTrace = false;
+      PO.StopOnViolation = false;
+      PO.CheckAssertions = false;
+      ParallelExplorer<SCMemory> Ex(P, Mem, PO);
+      EXPECT_EQ(Ex.run().Stats.NumStates, Expect)
+          << Name << " x" << Threads;
     }
   }
 }
 
-TEST(LockFreeVisited, UncompressedLfSetMatchesStriped) {
-  // The raw (no-compression) lock-free path: LockFreeStateSet vs the
-  // striped ShardedStateSet.
+TEST(LockFreeVisited, UncompressedLfSetMatchesSequential) {
+  // The raw (no-compression) lock-free path: LockFreeStateSet at 4
+  // workers vs the sequential engine's raw key set.
   for (const char *Name : {"peterson-ra", "dekker-sc"}) {
     Program P = findCorpusEntry(Name).parse();
-    RockerOptions Lf = fullOpts(4, false);
-    Lf.Visited = VisitedImpl::LockFree;
-    RockerOptions Str = fullOpts(4, false);
-    Str.Visited = VisitedImpl::Striped;
-    RockerReport A = checkRobustness(P, Lf);
-    RockerReport B = checkRobustness(P, Str);
-    EXPECT_EQ(A.Robust, B.Robust) << Name;
-    EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates) << Name;
+    RockerReport Par = checkRobustness(P, fullOpts(4, false));
+    RockerReport Seq = checkRobustness(P, fullOpts(1, false));
+    EXPECT_EQ(Par.Robust, Seq.Robust) << Name;
+    EXPECT_EQ(Par.Stats.NumStates, Seq.Stats.NumStates) << Name;
   }
 }
 
-TEST(LockFreeVisited, TsoOracleIdenticalAcrossImpls) {
+TEST(LockFreeVisited, TsoOracleMatchesSequential) {
   // The TSO baseline's projection sets under the lock-free tier (with
   // the TSOMachine dirty-component hooks feeding the incremental path)
-  // must match the striped tier's.
+  // must match the sequential engine's.
   for (const char *Name : {"SB", "MP", "peterson-ra"}) {
     Program P = findCorpusEntry(Name).parse();
-    TSOOptions Lf;
-    Lf.Threads = 4;
-    Lf.Visited = VisitedImpl::LockFree;
-    TSOOptions Str = Lf;
-    Str.Visited = VisitedImpl::Striped;
-    TSORobustnessResult A = checkTSORobustness(P, Lf);
-    TSORobustnessResult B = checkTSORobustness(P, Str);
+    TSOOptions Par;
+    Par.Threads = 4;
+    TSOOptions Seq = Par;
+    Seq.Threads = 1;
+    TSORobustnessResult A = checkTSORobustness(P, Par);
+    TSORobustnessResult B = checkTSORobustness(P, Seq);
     EXPECT_EQ(A.Robust, B.Robust) << Name;
     EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates) << Name;
   }
@@ -870,18 +902,18 @@ TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
   // root table's 1/2-load trigger again and again (2^16 roots double at
   // 2^15, 2^16, 2^17 and 2^18 states); the management thread doubles
   // the tables under pause while workers keep their cached parent ids,
-  // and the verdict and counts still match a striped run exactly.
+  // and the verdict and counts still match a sequential run exactly.
   Program P = findCorpusEntry("seqlock").parse();
-  RockerOptions Lf = implOpts(2, VisitedImpl::LockFree);
+  RockerOptions Lf = fullOpts(2, true);
   Lf.MaxStates = 1'000'000;
   Lf.LockFreeLog2 = 16;
   obs::Snapshot Before = obs::snapshot();
   RockerReport A = checkRobustness(P, Lf);
   uint64_t Growths = obs::snapshot().counter(obs::Ctr::VisitedGrowths) -
                      Before.counter(obs::Ctr::VisitedGrowths);
-  RockerOptions Str = implOpts(2, VisitedImpl::Striped);
-  Str.MaxStates = 1'000'000;
-  RockerReport B = checkRobustness(P, Str);
+  RockerOptions Seq = fullOpts(1, true);
+  Seq.MaxStates = 1'000'000;
+  RockerReport B = checkRobustness(P, Seq);
   EXPECT_EQ(A.Robust, B.Robust);
   EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates);
   EXPECT_TRUE(A.Complete);
@@ -914,7 +946,7 @@ TEST(LockFreeVisited, CheckpointAfterGrowthsResumesAtAnotherLog2) {
   // different --visited-log2 with the uninterrupted run's counts:
   // entries carry their ids, so no capacity has to round-trip.
   Program P = findCorpusEntry("seqlock").parse();
-  RockerOptions Ref = implOpts(4, VisitedImpl::LockFree);
+  RockerOptions Ref = fullOpts(4, true);
   Ref.MaxStates = 1'000'000;
   RockerReport Whole = checkRobustness(P, Ref);
   ASSERT_TRUE(Whole.Complete);
@@ -948,12 +980,13 @@ TEST(LockFreeVisited, CheckpointAfterGrowthsResumesAtAnotherLog2) {
 }
 
 TEST(LockFreeVisited, RetiredCheckpointTagsAreRejected) {
-  // Visited-set tags 3 and 4 held slot placements from when lock-free
-  // ids were slot indices. A checkpoint carrying one must be refused with
-  // its own error, not decoded as tables.
+  // Visited-set tags 0 and 1 held the removed mutex-striped tier's
+  // tuples and keys; 3 and 4 held slot placements from when lock-free ids
+  // were slot indices. A checkpoint carrying one must be refused with its
+  // own error, not decoded as tables.
   Program P = findCorpusEntry("peterson-ra").parse();
   RemoveOnExit Ckpt{scratchCheckpoint("lf-retired")};
-  RockerOptions Mid = implOpts(4, VisitedImpl::LockFree);
+  RockerOptions Mid = fullOpts(4, true);
   Mid.MaxStates = 100;
   Mid.Resilience.CheckpointPath = Ckpt.Path;
   ASSERT_FALSE(checkRobustness(P, Mid).Complete);
@@ -971,7 +1004,7 @@ TEST(LockFreeVisited, RetiredCheckpointTagsAreRejected) {
   const size_t TagAt = HeaderBytes + 3 + 12 * 8 + 1 + 3 * 8 + 1;
   ASSERT_GT(Data.size(), TagAt);
   ASSERT_EQ(Data[TagAt], 5) << "the payload layout moved the tag";
-  for (char Retired : {3, 4}) {
+  for (char Retired : {0, 1, 3, 4}) {
     std::string Old = Data;
     Old[TagAt] = Retired;
     uint64_t Hash = hashBytes(
@@ -982,11 +1015,11 @@ TEST(LockFreeVisited, RetiredCheckpointTagsAreRejected) {
       std::ofstream Out(Ckpt.Path, std::ios::binary | std::ios::trunc);
       Out << Old;
     }
-    RockerOptions RO = implOpts(4, VisitedImpl::LockFree);
+    RockerOptions RO = fullOpts(4, true);
     RO.Resilience.ResumePath = Ckpt.Path;
     RockerReport R = checkRobustness(P, RO);
     EXPECT_EQ(R.Stats.Resilience.ResumeError,
-              retiredLockFreeFormatError(Retired));
+              retiredVisitedFormatError(Retired));
     EXPECT_FALSE(R.Stats.Resilience.Resumed);
     EXPECT_FALSE(R.Complete);
     EXPECT_EQ(R.Stats.NumStates, 0u);
@@ -1000,7 +1033,7 @@ TEST(LockFreeVisited, GovernorChargesResidentTables) {
   // budget between that floor and a generous bound on the stored bytes
   // plus frontier must downgrade.
   Program P = findCorpusEntry("lamport2-ra").parse();
-  RockerOptions O = implOpts(4, VisitedImpl::LockFree);
+  RockerOptions O = fullOpts(4, true);
   O.LockFreeLog2 = 18;
   O.MaxStates = 30'000;
   RockerReport Free = checkRobustness(P, O);
