@@ -218,8 +218,9 @@ const CliOption Options[] = {
      /*OptionalArg=*/true},
     {"--mem-budget", "BYTES",
      "soft memory budget for visited set + frontier (K/M/G suffixes); on "
-     "pressure the governor degrades storage (exact -> no-payload -> "
-     "bitstate) instead of OOMing; a degraded clean sweep exits "
+     "pressure the governor degrades storage (exact -> bitstate, then "
+     "sampling with --sample-on-exhaustion) instead of OOMing; a "
+     "degraded clean sweep exits "
      "BOUNDED-ROBUST (2)",
      [](CliState &C, const char *V) {
        if (auto B = num::parseByteSize(V))

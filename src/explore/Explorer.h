@@ -273,6 +273,14 @@ public:
     // when the deterministic test hook pins checkpoints to counts.
     GovMask = Opts.Resilience.CheckpointEveryExpansions ? 0 : 255;
 
+    if (Opts.BitstateLog2 &&
+        !resilience::bitstateLog2InRange(Opts.BitstateLog2)) {
+      // Refused before anything is sized from it, like an unusable
+      // resume: K < 6 makes no array word and K >= 64 shifts past 64 bits.
+      RR.ResumeError = resilience::bitstateLog2Error(Opts.BitstateLog2);
+      Res.Stats.Truncated = true;
+      return Res;
+    }
     if (Opts.BitstateLog2) {
       Res.Approximate = true;
       Rung = resilience::StorageRung::Bitstate;
@@ -744,25 +752,18 @@ private:
     return true;
   }
 
-  /// Walks one rung down the degradation ladder. Returns false when
-  /// there is nothing left to shed (already at bitstate).
+  /// Walks the degradation ladder's one in-run step: the exact visited
+  /// set becomes double-bit bitstate hashing, and the verdict becomes
+  /// approximate (BoundedRobust). Returns false when already on bitstate;
+  /// the governor then stops the run instead.
   bool downgrade(ExploreResult &Res, uint64_t Used, double Elapsed) {
     using resilience::StorageRung;
     auto &RR = Res.Stats.Resilience;
     StorageRung From = Rung;
-    if (Rung == StorageRung::Exact) {
-      // Rung 1: keep the exact visited set. Expanded states keep no
-      // payloads, so there is nothing to shed; the rung is still taken so
-      // reports show the documented rung sequence.
-      Rung = StorageRung::NoPayload;
-    } else if (Rung == StorageRung::NoPayload) {
-      // Rung 2: replace the exact visited set with double-bit bitstate
-      // hashing. The verdict becomes approximate (BoundedRobust).
-      enterBitstate(Res);
-      Rung = StorageRung::Bitstate;
-    } else {
-      return false; // Last rung: the governor stops the run instead.
-    }
+    if (Rung == StorageRung::Bitstate)
+      return false;
+    enterBitstate(Res);
+    Rung = StorageRung::Bitstate;
     resilience::DowngradeEvent E;
     E.From = From;
     E.To = Rung;
@@ -787,7 +788,7 @@ private:
     Bitstate[B2 / 64] |= static_cast<uint64_t>(1) << (B2 % 64);
   }
 
-  /// NoPayload → Bitstate: size a bit array to the budget, seed it with
+  /// Exact → Bitstate: size a bit array to the budget, seed it with
   /// every visited state's raw key (the interner's raw keys concatenate
   /// to exactly productStateKey, so probes after the switch agree with
   /// the exact set), then free the exact structures.

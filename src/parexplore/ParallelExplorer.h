@@ -146,9 +146,8 @@ struct ParExploreOptions {
   /// Resource budgets, watchdog, and checkpoint/resume configuration
   /// (resilience/Resilience.h). A management thread enforces these while
   /// the workers run; checkpoints pause the world at a consistent cut
-  /// (all unexpanded states parked in the deques). The parallel ladder
-  /// has no NoPayload rung — expanded states are never stored — so the
-  /// first memory downgrade goes straight to bitstate hashing.
+  /// (all unexpanded states parked in the deques). As in the sequential
+  /// engine, the first memory downgrade goes to bitstate hashing.
   resilience::ResilienceOptions Resilience;
 };
 
@@ -635,10 +634,8 @@ private:
                .count();
   }
 
-  /// Governor downgrade, parallel flavor. The parallel engine stores no
-  /// expanded payloads (states move out of the deques on expansion), so
-  /// the NoPayload rung is vacuous here: pressure goes straight from
-  /// Exact to Bitstate. Runs under a world pause; seeds the bit array
+  /// Governor downgrade, parallel flavor: Exact to Bitstate, as in the
+  /// sequential engine. Runs under a world pause; seeds the bit array
   /// from the exact set, then frees it.
   void downgradeToBitstate(Shared &Sh, ParExploreResult &Res,
                            uint64_t UsedBytes) {

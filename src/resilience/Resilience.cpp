@@ -11,7 +11,7 @@ const char *rungName(StorageRung R) {
   switch (R) {
   case StorageRung::Exact:
     return "exact";
-  case StorageRung::NoPayload:
+  case StorageRung::RetiredNoPayload:
     return "no-payload";
   case StorageRung::Bitstate:
     return "bitstate";
@@ -19,6 +19,12 @@ const char *rungName(StorageRung R) {
     return "sample";
   }
   return "unknown";
+}
+
+std::string bitstateLog2Error(uint64_t K) {
+  return "bitstate width " + std::to_string(K) + " outside [" +
+         std::to_string(MinBitstateLog2) + ", " +
+         std::to_string(MaxBitstateLog2) + "]";
 }
 
 namespace {

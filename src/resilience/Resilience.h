@@ -6,22 +6,21 @@
 /// configuration, and the per-run resilience report that makes a verdict's
 /// precision provenance explicit.
 ///
-/// The degradation ladder has three rungs, walked one step per memory
-/// pressure event:
+/// The degradation ladder has two storage rungs, and one memory pressure
+/// event steps from the first to the second in either engine:
 ///
 ///   Exact     — full visited set (collapse-compressed or raw); payloads
 ///               are kept for frontier states only. Verdicts are exact: a
 ///               clean sweep proves Robust.
-///   NoPayload — still an exact visited set. Neither engine keeps
-///               expanded states' payloads, so this rung sheds nothing and
-///               only records the pressure event. Robust is still
-///               claimable.
 ///   Bitstate  — the visited set becomes a double-bit supertrace hash array.
 ///               Hash collisions silently merge distinct states, so coverage
 ///               is no longer guaranteed: a clean sweep on this rung can
 ///               only ever claim BoundedRobust, never Robust. Violations
 ///               found remain real (they are replayed/validated on concrete
 ///               states), so NotRobust verdicts survive degradation.
+///
+/// A run still out of memory on bitstate stops as truncated, or hands over
+/// to the Sample rung when SampleOnExhaustion is set.
 ///
 /// Every downgrade is recorded as a DowngradeEvent in the ResilienceReport,
 /// which flows through ExploreStats into the rocker-run-report/1 JSON.
@@ -40,7 +39,11 @@ namespace rocker::resilience {
 /// Rung of the storage degradation ladder, in decreasing precision order.
 enum class StorageRung : uint8_t {
   Exact = 0,
-  NoPayload = 1,
+  /// Reserved: a retired rung between Exact and Bitstate that kept the
+  /// exact visited set and shed nothing. No engine enters it; it is still
+  /// named and counts as exact, so checkpoints and reports written while
+  /// it existed read unchanged.
+  RetiredNoPayload = 1,
   Bitstate = 2,
   /// Monitored random-schedule sampling (src/sample): no visited set at
   /// all, constant memory, probabilistic coverage. Never an in-run
@@ -152,7 +155,7 @@ struct ResilienceReport {
   /// only when this holds and the run completed.
   bool exact() const {
     return FinalRung == StorageRung::Exact ||
-           FinalRung == StorageRung::NoPayload;
+           FinalRung == StorageRung::RetiredNoPayload;
   }
 
   /// True if any resilience event made this run's coverage non-conclusive.
@@ -198,6 +201,10 @@ inline constexpr unsigned MaxBitstateLog2 = 36;
 inline bool bitstateLog2InRange(uint64_t K) {
   return K >= MinBitstateLog2 && K <= MaxBitstateLog2;
 }
+
+/// The error a run is refused with when its options name a width outside
+/// that range ("bitstate width K outside [6, 36]").
+std::string bitstateLog2Error(uint64_t K);
 
 } // namespace rocker::resilience
 

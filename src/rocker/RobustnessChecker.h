@@ -88,7 +88,7 @@ struct RockerOptions {
   bool UseSampling = false;
   /// Sampling-engine configuration (budget, seed, scheduler, workers);
   /// consulted when UseSampling is set or when
-  /// Resilience.SampleOnExhaustion triggers the fourth-rung fallback.
+  /// Resilience.SampleOnExhaustion triggers the sampling fallback.
   sample::SampleOptions Sampling;
 };
 

@@ -9,8 +9,8 @@
 /// Nothing is stored across samples except a fixed-size sketch of final
 /// states: memory is O(threads + locations + depth cap), *independent
 /// of the explored state count*, which is what makes this the final
-/// rung of the resilience degradation ladder (exact → no-payload →
-/// bitstate → sample) and the only engine that runs on state spaces no
+/// rung of the resilience degradation ladder (exact → bitstate →
+/// sample) and the only engine that runs on state spaces no
 /// visited set can hold.
 ///
 /// What a sampling run can conclude:

@@ -8,7 +8,7 @@
 ///
 /// Job lifecycle on a cache miss: the job's budgets (memory, deadline)
 /// flow through the existing resilience governor unchanged, including
-/// the exact → no-payload → bitstate → sample degradation ladder. When
+/// the exact → bitstate → sample degradation ladder. When
 /// the cache is enabled, each job checkpoints to a per-key spill file;
 /// a preempted job (stop request, deadline) leaves its spill behind and
 /// the next submission of the same key resumes from it instead of

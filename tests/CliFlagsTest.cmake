@@ -38,9 +38,16 @@ expect_usage(${CMAKE_COMMAND} -E env ROCKER_PROGRESS=abc ${ROCKER_CLI} SB)
 # --visited is not an option.
 expect_usage(${ROCKER_CLI} --visited=striped SB)
 
-# fig7_table: the sampling knobs.
+# fig7_table: the driver's numbers and configuration names; the
+# sampling knobs are fixed by the sample-* configurations now.
+expect_usage(${FIG7} --min-states 10q)
+expect_usage(${FIG7} --reps abc)
+expect_usage(${FIG7} --reps 0)
+expect_usage(${FIG7} --configs threads-2x)
+expect_usage(${FIG7} --configs threads-1)
+expect_usage(${FIG7} --configs base,nope)
+expect_usage(${FIG7} --trace t.json)
 expect_usage(${FIG7} --samples 12x)
-expect_usage(${FIG7} --sample-seed abc)
 
 # rocker_batch: numeric defaults and the corpus/manifest contract.
 expect_usage(${ROCKER_BATCH} --corpus --jobs 2x)

@@ -8,7 +8,7 @@
 //    4-thread, including a fork+SIGKILL loop that kills the process at
 //    escalating wall-clock points.
 //  * A memory budget one rung too small walks the degradation ladder
-//    (exact -> no-payload -> bitstate) with recorded provenance instead of
+//    (exact -> bitstate) with recorded provenance instead of
 //    aborting; a clean sweep demotes to BoundedRobust while NotRobust
 //    verdicts survive degradation.
 //  * Stale, corrupt, and cross-engine checkpoints are rejected with a
@@ -619,6 +619,34 @@ TEST(Resilience, OutOfRangeBitstateWidthIsRejected) {
   }
 }
 
+TEST(Resilience, OutOfRangeBitstateOptionIsRefused) {
+  // A library caller can set a bitstate width the CLI, manifests and
+  // checkpoint headers would reject. The engine refuses it before sizing
+  // the bit array: K < 6 would make no array word, K >= 64 would shift
+  // past 64 bits. Only these two widths are tried, so a build without
+  // the check crashes instead of allocating gigabytes.
+  Program P = findCorpusEntry("SB").parse();
+  SCMemory Mem(P);
+  for (unsigned K : {3u, 64u}) {
+    const std::string Error =
+        "bitstate width " + std::to_string(K) + " outside [6, 36]";
+    RockerOptions RO = baseOpts(1);
+    RO.BitstateLog2 = K;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError, Error);
+    EXPECT_FALSE(R.Complete) << "K=" << K;
+    EXPECT_EQ(R.Stats.NumStates, 0u) << "K=" << K;
+    EXPECT_EQ(R.verdictClass(), VerdictClass::BoundedRobust) << "K=" << K;
+
+    ExploreOptions EO;
+    EO.BitstateLog2 = K;
+    ExploreResult ER = ProductExplorer<SCMemory>(P, Mem, EO).run();
+    EXPECT_EQ(ER.Stats.Resilience.ResumeError, Error);
+    EXPECT_TRUE(ER.Stats.Truncated) << "K=" << K;
+    EXPECT_EQ(ER.Stats.NumStates, 0u) << "K=" << K;
+  }
+}
+
 TEST(Resilience, StateCountBeyondPayloadIsRejected) {
   // A DFS run with traces stores one trace edge per state, so the state
   // count bounds the edge table it restores: a count the payload cannot
@@ -846,23 +874,24 @@ TEST(ResilienceFi, MidWriteKillLeavesPreviousCheckpointIntact) {
 
 TEST(ResilienceFi, ForcedGovernorFaultDropsExactlyOneRung) {
   // A forced allocation-pressure event with an otherwise-unreachable
-  // budget: the ladder steps to no-payload and stays there. No-payload
-  // coverage is still exact, so a completed clean sweep remains Robust.
+  // budget: the ladder steps to bitstate and stays there. The sweep
+  // completes, but bitstate coverage can only claim BoundedRobust. (A
+  // 64 MiB budget sizes a 16 MiB bit array, far below the budget.)
   fi::configure("fail:govern.alloc@1");
   Program P = findCorpusEntry("peterson-ra").parse();
   RockerReport Ref = checkRobustness(P, baseOpts(1));
   RockerOptions O = baseOpts(1);
-  O.Resilience.MemBudgetBytes = 1ull << 40;
+  O.Resilience.MemBudgetBytes = 64ull << 20;
   RockerReport R = checkRobustness(P, O);
   fi::configure("");
   const resilience::ResilienceReport &RR = R.Stats.Resilience;
   ASSERT_EQ(RR.Downgrades.size(), 1u);
   EXPECT_EQ(RR.Downgrades[0].From, StorageRung::Exact);
-  EXPECT_EQ(RR.Downgrades[0].To, StorageRung::NoPayload);
-  EXPECT_EQ(RR.FinalRung, StorageRung::NoPayload);
+  EXPECT_EQ(RR.Downgrades[0].To, StorageRung::Bitstate);
+  EXPECT_EQ(RR.FinalRung, StorageRung::Bitstate);
   EXPECT_TRUE(R.Complete);
   EXPECT_EQ(R.Stats.NumStates, Ref.Stats.NumStates);
-  EXPECT_EQ(R.verdictClass(), VerdictClass::Robust);
+  EXPECT_EQ(R.verdictClass(), VerdictClass::BoundedRobust);
 }
 
 TEST(ResilienceFi, ClockSkewTripsDeadline) {

@@ -459,7 +459,8 @@ TEST(CompressedVisited, StatsReportBytesAndRatio) {
   // Parallel engine fills the fields too. No ratio bound here: on a
   // program this small the sharded interner's fixed footprint (tuple
   // shards + component-table stripes) can exceed the raw keys; the ≥4×
-  // wins are on large state spaces (bench/visited_memory).
+  // wins are on large state spaces (the raw rows of
+  // `fig7_table --configs raw`).
   RockerReport Par = checkRobustness(P, fullOpts(4, true));
   ASSERT_TRUE(Par.Complete);
   EXPECT_GT(Par.Stats.VisitedBytes, 0u);
