@@ -54,6 +54,7 @@
 #include "resilience/Resilience.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
+#include "support/PageArray.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
 
@@ -284,8 +285,8 @@ public:
     if (Opts.BitstateLog2) {
       Res.Approximate = true;
       Rung = resilience::StorageRung::Bitstate;
-      Bitstate.assign((static_cast<size_t>(1) << Opts.BitstateLog2) / 64,
-                      0);
+      Bitstate.assignZeroed((static_cast<size_t>(1) << Opts.BitstateLog2) /
+                            64);
     } else if (Opts.CompressVisited) {
       Interner.emplace(P.numThreads() + memComponentCount(Mem));
       SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
@@ -593,7 +594,7 @@ private:
       Res.Violations.push_back(std::move(*V));
     }
     if (Opts.RecordParents)
-      Parents.emplace_back();
+      Parents.push_back(ParentEdge{});
     if constexpr (HasCodec)
       Frontier.push(Id, Key);
     else
@@ -795,7 +796,7 @@ private:
   void enterBitstate(ExploreResult &Res) {
     unsigned K =
         resilience::bitstateLog2ForBudget(Opts.Resilience.MemBudgetBytes);
-    Bitstate.assign((static_cast<size_t>(1) << K) / 64, 0);
+    Bitstate.assignZeroed((static_cast<size_t>(1) << K) / 64);
     Opts.BitstateLog2 = K;
     Res.Approximate = true;
     auto Seed = [&](const std::string &Key) {
@@ -1021,7 +1022,7 @@ private:
           RR.ResumeError = "corrupt checkpoint: bitstate size";
           return false;
         }
-        Bitstate.assign(Words, 0);
+        Bitstate.assignZeroed(Words);
         R.bytes(Bitstate.data(), Words * sizeof(uint64_t));
       } else if (Tag == 0) {
         if (!Interner || !Interner->restore(R)) {
@@ -1129,7 +1130,7 @@ private:
   /// front, DFS the back. No other payloads are kept.
   std::conditional_t<HasCodec, KeyFrontier, std::deque<Pending>> Frontier;
   uint64_t NumStored = 0; ///< States interned so far; the next state's id.
-  std::vector<ParentEdge> Parents; ///< Trace edges, indexed by state id.
+  PageArray<ParentEdge> Parents; ///< Trace edges, indexed by state id.
   /// Raw visited map (CompressVisited off and no bitstate hashing).
   std::unordered_map<std::string, uint64_t, StateKeyHash> Visited;
   /// Compressed visited set (engaged when CompressVisited is on).
@@ -1138,7 +1139,7 @@ private:
   std::vector<uint32_t> TupleBuf; ///< Scratch: current id tuple.
   std::vector<uint32_t> SlotOrder; ///< Emission index → tuple slot.
   uint64_t RawVisitedBytes = 0;   ///< Raw-key byte accounting.
-  std::vector<uint64_t> Bitstate; ///< Bitstate-hashing visited bits.
+  PageArray<uint64_t> Bitstate;   ///< Bitstate-hashing visited bits.
   uint64_t PubTransitions = 0; ///< Progress: last published transitions.
   uint64_t PubDedupHits = 0;   ///< Progress: last published dedup hits.
   uint64_t PubCount = 0;       ///< Progress: pushes so far.

@@ -52,6 +52,7 @@
 #include "obs/Trace.h"
 #include "parexplore/WorkDeque.h"
 #include "support/LockFreeVisited.h"
+#include "support/PageArray.h"
 #include "support/ShardedSet.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
@@ -339,7 +340,7 @@ public:
     // Gather statistics (workers have quiesced; plain reads are safe).
     Res.Stats.NumStates = Sh.StateCount.load(std::memory_order_relaxed);
     if (Sh.BitstateLog2.load(std::memory_order_relaxed)) {
-      Res.Stats.VisitedBytes = Sh.BitstateWords * sizeof(uint64_t);
+      Res.Stats.VisitedBytes = Sh.Bitstate.size() * sizeof(uint64_t);
       Res.Stats.VisitedRawBytes =
           Sh.RawBytesAtDowngrade.load(std::memory_order_relaxed);
       Res.Approximate = true;
@@ -526,11 +527,11 @@ private:
     std::atomic<unsigned> ActiveWorkers{0};
 
     // Degraded visited storage (governor downgrade): nonzero BitstateLog2
-    // routes markVisited to the shared atomic bit array (fetch_or double
-    // bits — same scheme as the sequential engine).
+    // routes markVisited to the shared bit array (atomic fetch_or double
+    // bits — same scheme as the sequential engine). Its pages are zeroed
+    // lazily, so the downgrade commits only the words it seeds.
     std::atomic<unsigned> BitstateLog2{0};
-    std::unique_ptr<std::atomic<uint64_t>[]> Bitstate;
-    uint64_t BitstateWords = 0;
+    PageArray<uint64_t> Bitstate;
     /// Raw-key byte estimate carried over from the exact set at downgrade
     /// time (per-insert accounting stops there).
     std::atomic<uint64_t> RawBytesAtDowngrade{0};
@@ -599,10 +600,10 @@ private:
     uint64_t Mask = (1ull << K) - 1;
     uint64_t B1 = H & Mask;
     uint64_t B2 = (H >> 32 ^ H * 0x9e3779b97f4a7c15ull) & Mask;
-    uint64_t Old1 = Sh.Bitstate[B1 >> 6].fetch_or(
-        1ull << (B1 & 63), std::memory_order_relaxed);
-    uint64_t Old2 = Sh.Bitstate[B2 >> 6].fetch_or(
-        1ull << (B2 & 63), std::memory_order_relaxed);
+    uint64_t Old1 = std::atomic_ref<uint64_t>(Sh.Bitstate[B1 >> 6])
+                        .fetch_or(1ull << (B1 & 63), std::memory_order_relaxed);
+    uint64_t Old2 = std::atomic_ref<uint64_t>(Sh.Bitstate[B2 >> 6])
+                        .fetch_or(1ull << (B2 & 63), std::memory_order_relaxed);
     return !(Old1 & (1ull << (B1 & 63))) ||
            !(Old2 & (1ull << (B2 & 63)));
   }
@@ -621,7 +622,7 @@ private:
   /// touches every page of a slot array.
   uint64_t governedBytes(const Shared &Sh) const {
     uint64_t V = Sh.BitstateLog2.load(std::memory_order_relaxed)
-                     ? Sh.BitstateWords * sizeof(uint64_t)
+                     ? Sh.Bitstate.size() * sizeof(uint64_t)
                  : Sh.LfInterner ? Sh.LfInterner->residentBytes()
                                  : Sh.LfSet->residentBytes();
     return V + Sh.TB.inFlight() * PayloadUnit;
@@ -643,11 +644,7 @@ private:
     pauseWorld(Sh);
     unsigned K =
         resilience::bitstateLog2ForBudget(Opts.Resilience.MemBudgetBytes);
-    Sh.BitstateWords = (1ull << K) / 64;
-    Sh.Bitstate = std::make_unique<std::atomic<uint64_t>[]>(
-        Sh.BitstateWords);
-    for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
-      Sh.Bitstate[I].store(0, std::memory_order_relaxed);
+    Sh.Bitstate.assignZeroed((1ull << K) / 64);
     auto Seed = [&](const std::string &Key) {
       bitstateInsert(Sh, K, Key);
     };
@@ -922,9 +919,8 @@ private:
       if (K) {
         W.u8(2);
         W.u64(Sh.RawBytesAtDowngrade.load(std::memory_order_relaxed));
-        W.u64(Sh.BitstateWords);
-        for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
-          W.u64(Sh.Bitstate[I].load(std::memory_order_relaxed));
+        W.u64(Sh.Bitstate.size());
+        W.bytes(Sh.Bitstate.data(), Sh.Bitstate.size() * sizeof(uint64_t));
       } else if (Sh.LfInterner) {
         // Tags 5 and 6 hold (id, payload) entries; 0, 1, 3 and 4 are
         // retired (see retiredVisitedFormatError).
@@ -1040,10 +1036,8 @@ private:
           RR.ResumeError = "corrupt checkpoint: bitstate size";
           return false;
         }
-        Sh.Bitstate = std::make_unique<std::atomic<uint64_t>[]>(Words);
-        for (uint64_t I = 0; I != Words; ++I)
-          Sh.Bitstate[I].store(R.u64(), std::memory_order_relaxed);
-        Sh.BitstateWords = Words;
+        Sh.Bitstate.assignZeroed(Words);
+        R.bytes(Sh.Bitstate.data(), Words * sizeof(uint64_t));
         Sh.BitstateLog2.store(K, std::memory_order_relaxed);
       } else if (Tag <= 1 || Tag == 3 || Tag == 4) {
         RR.ResumeError = retiredVisitedFormatError(Tag);
@@ -1444,7 +1438,7 @@ private:
         (W.Expanded.load(std::memory_order_relaxed) & 4095) == 0) {
       uint64_t VisitedB =
           Sh.BitstateLog2.load(std::memory_order_relaxed)
-              ? Sh.BitstateWords * sizeof(uint64_t)
+              ? Sh.Bitstate.size() * sizeof(uint64_t)
           : Sh.LfInterner ? Sh.LfInterner->bytesUsed()
                           : Sh.LfSet->bytesUsed();
       obs::progressVisitedBytes(VisitedB);

@@ -44,6 +44,11 @@
 /// enumerates a table (save, forEachRawKey, growth, accounting) walks
 /// slots, never ids.
 ///
+/// Memory. Slot arrays, id segments and the segment directory come from
+/// zeroedAlloc (support/PageArray.h), the page allocator the sequential
+/// tier shares: zeroed lazily, mapped from 2 MiB up, and with huge pages
+/// requested for slot arrays, which probing touches everywhere.
+///
 /// Growth. Tables start small (2^18 roots by default — an oversized
 /// sparse table turns every probe into a TLB/page miss) and ask to grow
 /// past 1/2 load (wantsGrowth). The engine's management thread pauses
@@ -65,6 +70,7 @@
 
 #include "support/BinCodec.h"
 #include "support/Hashing.h"
+#include "support/PageArray.h"
 #include "support/StateInterner.h"
 
 #include <algorithm>
@@ -78,10 +84,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#ifdef __linux__
-#include <sys/mman.h>
-#endif
 
 namespace rocker {
 
@@ -122,50 +124,13 @@ struct ProbeStats {
   uint64_t ProbeSteps = 0;
 };
 
-/// Blocks from this size up are mapped directly (see zeroedAlloc).
-inline constexpr size_t HugeBlockBytes = size_t{2} << 20;
-
-/// Zero-filled block whose untouched pages stay unmapped, so RSS grows
-/// only with what is written (a value-initializing new[]/vector would
-/// memset — and fault — the whole block up front). On Linux, blocks of
-/// HugeBlockBytes and more are mmap'd with transparent huge pages
-/// requested: hashing touches every page of a slot array anyway, and
-/// huge pages cut the page faults of a growth and the TLB misses of
-/// every probe. Free with zeroedFree and the same size.
-inline void *zeroedAlloc(size_t Bytes) {
-#ifdef __linux__
-  if (Bytes >= HugeBlockBytes) {
-    void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (P == MAP_FAILED)
-      throw std::bad_alloc();
-    ::madvise(P, Bytes, MADV_HUGEPAGE); // Advisory: failure is harmless.
-    return P;
-  }
-#endif
-  void *P = std::calloc(1, Bytes);
-  if (!P)
-    throw std::bad_alloc();
-  return P;
-}
-
-inline void zeroedFree(void *P, size_t Bytes) {
-#ifdef __linux__
-  if (Bytes >= HugeBlockBytes) {
-    ::munmap(P, Bytes);
-    return;
-  }
-#endif
-  std::free(P);
-}
-
 /// Array of 2^Log2 atomically-accessed 64-bit words (zeroedAlloc).
 /// Swappable, so a table can trade its array for a doubled one.
 class WordArray {
 public:
   explicit WordArray(unsigned Log2)
       : Words(static_cast<uint64_t *>(
-            zeroedAlloc(sizeof(uint64_t) << Log2))),
+            zeroedAlloc(sizeof(uint64_t) << Log2, /*HugePages=*/true))),
         Log2(Log2) {
     static_assert(std::atomic_ref<uint64_t>::is_always_lock_free);
   }
@@ -206,7 +171,7 @@ public:
 
   IdArray()
       : Dir(static_cast<uint64_t **>(
-            zeroedAlloc(NumSegs * sizeof(uint64_t *)))) {
+            zeroedAlloc(NumSegs * sizeof(uint64_t *), /*HugePages=*/false))) {
     static_assert(std::atomic_ref<uint64_t *>::is_always_lock_free);
   }
   ~IdArray() {
@@ -257,7 +222,8 @@ private:
     uint64_t *Seg = Entry.load(std::memory_order_acquire);
     if (Seg)
       return Seg;
-    auto *Fresh = static_cast<uint64_t *>(zeroedAlloc(SegBytes));
+    auto *Fresh =
+        static_cast<uint64_t *>(zeroedAlloc(SegBytes, /*HugePages=*/false));
     if (Entry.compare_exchange_strong(Seg, Fresh, std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
       Segments.fetch_add(1, std::memory_order_relaxed);

@@ -38,6 +38,13 @@
 /// LockFreeStateInterner (support/LockFreeVisited.h) for the
 /// work-stealing engine.
 ///
+/// The sequential tables keep their entries and indexes in PageArrays
+/// (support/PageArray.h): from 2 MiB up each is its own mapping, grown
+/// in place with mremap or, for an index, rebuilt into a fresh zeroed
+/// block with huge pages, and unmapped when the interner dies. Growth
+/// by copy would leave resident holes in the brk heap that raise the
+/// peak RSS of every later verdict in the same process.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ROCKER_SUPPORT_STATEINTERNER_H
@@ -45,6 +52,7 @@
 
 #include "support/BinCodec.h"
 #include "support/Hashing.h"
+#include "support/PageArray.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -164,6 +172,20 @@ inline uint64_t stringNodeBytes(size_t KeyLen, size_t MappedBytes) {
 
 namespace detail {
 
+/// Open-addressing index of the sequential tables: entry = id + 1,
+/// 0 = empty. A rebuild takes a fresh zeroed block (huge pages from
+/// HugeBlockBytes up) instead of a memset.
+using IndexArray = PageArray<uint32_t, /*HugePages=*/true>;
+
+/// Slots of the smallest index that keeps \p Num entries under the 0.7
+/// load cap.
+inline size_t indexSlotsFor(uint32_t Num) {
+  size_t Cap = 64;
+  while ((static_cast<uint64_t>(Num) + 1) * 10 >= Cap * 7)
+    Cap *= 2;
+  return Cap;
+}
+
 /// Dense byte-string interner backing the sequential component tables:
 /// payloads live back-to-back in one flat arena (entry id -> start
 /// offset; the next start delimits the length), deduplicated via an
@@ -173,7 +195,7 @@ namespace detail {
 /// unordered_map<std::string, uint32_t> entry.
 class ByteArena {
 public:
-  ByteArena() : Index(64, 0) {}
+  ByteArena() { Index.assignZeroed(64); }
 
   /// Interns \p Bytes; returns {dense id, was-new}.
   std::pair<uint32_t, bool> insert(std::string_view Bytes) {
@@ -186,12 +208,12 @@ public:
       if (!Index[Slot]) {
         Index[Slot] = Num + 1;
         Starts.push_back(static_cast<uint32_t>(Data.size()));
-        Data.append(Bytes);
+        Data.append(Bytes.data(), Bytes.size());
         return {Num++, true};
       }
       uint32_t Id = Index[Slot] - 1;
       if (length(Id) == Bytes.size() &&
-          std::equal(Bytes.begin(), Bytes.end(), Data.begin() + Starts[Id]))
+          std::equal(Bytes.begin(), Bytes.end(), Data.data() + Starts[Id]))
         return {Id, false};
     }
   }
@@ -206,22 +228,27 @@ public:
   /// Bytes of entry \p Id (view into the arena; valid until the next
   /// insert).
   std::string_view get(uint32_t Id) const {
-    return std::string_view(Data).substr(Starts[Id], length(Id));
+    return std::string_view(Data.data() + Starts[Id], length(Id));
   }
 
   /// Checkpoint support: only the payload and start offsets are written;
   /// the open-addressing index is rebuilt on restore.
   void save(BinWriter &W) const {
     W.u32(Num);
-    W.str(Data);
+    W.str(std::string_view(Data.data(), Data.size()));
     W.bytes(Starts.data(), Starts.size() * sizeof(uint32_t));
   }
 
-  /// Rejects a count the payload cannot hold and start offsets that are
-  /// decreasing or past the arena: length() and hashing index by them.
+  /// Rejects lengths and counts the payload cannot hold before sizing
+  /// anything by them, and start offsets that are decreasing or past the
+  /// arena: length() and hashing index by them.
   bool restore(BinReader &R) {
     Num = R.u32();
-    Data = R.str();
+    uint64_t Len = R.varu64(); // The length prefix of save()'s W.str.
+    if (R.fail() || Len > R.remaining())
+      return false;
+    Data.resize(Len);
+    R.bytes(Data.data(), Len);
     if (R.fail() || Num > R.remaining() / sizeof(uint32_t))
       return false;
     Starts.resize(Num);
@@ -231,10 +258,21 @@ public:
     for (uint32_t Id = 0; Id != Num; ++Id)
       if (Starts[Id] > Data.size() || (Id && Starts[Id] < Starts[Id - 1]))
         return false;
-    size_t Cap = 64;
-    while ((static_cast<uint64_t>(Num) + 1) * 10 >= Cap * 7)
-      Cap *= 2;
-    Index.assign(Cap, 0);
+    rebuildIndex(indexSlotsFor(Num));
+    return true;
+  }
+
+private:
+  size_t length(uint32_t Id) const {
+    return (Id + 1 < Starts.size() ? Starts[Id + 1] : Data.size()) -
+           Starts[Id];
+  }
+
+  void grow() { rebuildIndex(Index.size() * 2); }
+
+  /// Re-places every entry in a fresh zeroed index of \p Cap slots.
+  void rebuildIndex(size_t Cap) {
+    Index.assignZeroed(Cap);
     uint64_t Mask = Cap - 1;
     for (uint32_t Id = 0; Id != Num; ++Id) {
       uint64_t Slot =
@@ -246,34 +284,11 @@ public:
         Slot = (Slot + 1) & Mask;
       Index[Slot] = Id + 1;
     }
-    return true;
   }
 
-private:
-  size_t length(uint32_t Id) const {
-    return (Id + 1 < Starts.size() ? Starts[Id + 1] : Data.size()) -
-           Starts[Id];
-  }
-
-  void grow() {
-    std::vector<uint32_t> Next(Index.size() * 2, 0);
-    uint64_t Mask = Next.size() - 1;
-    for (uint32_t Id = 0; Id != Num; ++Id) {
-      uint64_t Slot =
-          hashBytes(reinterpret_cast<const uint8_t *>(Data.data()) +
-                        Starts[Id],
-                    length(Id)) &
-          Mask;
-      while (Next[Slot])
-        Slot = (Slot + 1) & Mask;
-      Next[Slot] = Id + 1;
-    }
-    Index = std::move(Next);
-  }
-
-  std::string Data;
-  std::vector<uint32_t> Starts;
-  std::vector<uint32_t> Index;
+  PageArray<char> Data;
+  PageArray<uint32_t> Starts;
+  IndexArray Index;
   uint32_t Num = 0;
 };
 
@@ -283,7 +298,7 @@ private:
 /// insertion order, so the root table's ids double as state ids.
 class PairTable {
 public:
-  PairTable() : Index(64, 0) {}
+  PairTable() { Index.assignZeroed(64); }
 
   std::pair<uint32_t, bool> insert(uint32_t A, uint32_t B) {
     if ((Num + 1) * 10 >= Index.size() * 7) // Load factor cap 0.7.
@@ -332,10 +347,15 @@ public:
     R.bytes(Pairs.data(), Pairs.size() * sizeof(uint64_t));
     if (R.fail())
       return false;
-    size_t Cap = 64;
-    while ((static_cast<uint64_t>(Num) + 1) * 10 >= Cap * 7)
-      Cap *= 2;
-    Index.assign(Cap, 0);
+    rebuildIndex(indexSlotsFor(Num));
+    return true;
+  }
+
+private:
+  void grow() { rebuildIndex(Index.size() * 2); }
+
+  void rebuildIndex(size_t Cap) {
+    Index.assignZeroed(Cap);
     uint64_t Mask = Cap - 1;
     for (uint32_t Id = 0; Id != Num; ++Id) {
       uint64_t Slot = hashMix64(Pairs[Id]) & Mask;
@@ -343,24 +363,10 @@ public:
         Slot = (Slot + 1) & Mask;
       Index[Slot] = Id + 1;
     }
-    return true;
   }
 
-private:
-  void grow() {
-    std::vector<uint32_t> Next(Index.size() * 2, 0);
-    uint64_t Mask = Next.size() - 1;
-    for (uint32_t Id = 0; Id != Num; ++Id) {
-      uint64_t Slot = hashMix64(Pairs[Id]) & Mask;
-      while (Next[Slot])
-        Slot = (Slot + 1) & Mask;
-      Next[Slot] = Id + 1;
-    }
-    Index = std::move(Next);
-  }
-
-  std::vector<uint64_t> Pairs;
-  std::vector<uint32_t> Index;
+  PageArray<uint64_t> Pairs;
+  IndexArray Index;
   uint32_t Num = 0;
 };
 
@@ -372,7 +378,7 @@ private:
 /// entry-for-entry — an extra ~14 bytes per state for nothing.
 class TripleTable {
 public:
-  TripleTable() : Index(64, 0) {}
+  TripleTable() { Index.assignZeroed(64); }
 
   std::pair<uint32_t, bool> insert(uint32_t A, uint32_t B, uint32_t C) {
     if ((Num + 1) * 10 >= Index.size() * 7) // Load factor cap 0.7.
@@ -425,18 +431,7 @@ public:
     R.bytes(Triples.data(), Triples.size() * sizeof(uint32_t));
     if (R.fail())
       return false;
-    size_t Cap = 64;
-    while ((static_cast<uint64_t>(Num) + 1) * 10 >= Cap * 7)
-      Cap *= 2;
-    Index.assign(Cap, 0);
-    uint64_t Mask = Cap - 1;
-    for (uint32_t Id = 0; Id != Num; ++Id) {
-      const uint32_t *T = Triples.data() + Id * 3u;
-      uint64_t Slot = hash(T[0], T[1], T[2]) & Mask;
-      while (Index[Slot])
-        Slot = (Slot + 1) & Mask;
-      Index[Slot] = Id + 1;
-    }
+    rebuildIndex(indexSlotsFor(Num));
     return true;
   }
 
@@ -445,21 +440,22 @@ private:
     return hashMix64(hashMix64((static_cast<uint64_t>(A) << 32) | B) + C);
   }
 
-  void grow() {
-    std::vector<uint32_t> Next(Index.size() * 2, 0);
-    uint64_t Mask = Next.size() - 1;
+  void grow() { rebuildIndex(Index.size() * 2); }
+
+  void rebuildIndex(size_t Cap) {
+    Index.assignZeroed(Cap);
+    uint64_t Mask = Cap - 1;
     for (uint32_t Id = 0; Id != Num; ++Id) {
       const uint32_t *T = Triples.data() + Id * 3u;
       uint64_t Slot = hash(T[0], T[1], T[2]) & Mask;
-      while (Next[Slot])
+      while (Index[Slot])
         Slot = (Slot + 1) & Mask;
-      Next[Slot] = Id + 1;
+      Index[Slot] = Id + 1;
     }
-    Index = std::move(Next);
   }
 
-  std::vector<uint32_t> Triples;
-  std::vector<uint32_t> Index;
+  PageArray<uint32_t> Triples;
+  IndexArray Index;
   uint32_t Num = 0;
 };
 

@@ -12,7 +12,9 @@
 //    aborting; a clean sweep demotes to BoundedRobust while NotRobust
 //    verdicts survive degradation.
 //  * Stale, corrupt, and cross-engine checkpoints are rejected with a
-//    ResumeError instead of silently mixing incompatible state.
+//    ResumeError instead of silently mixing incompatible state, while a
+//    committed sequential checkpoint from an older build still resumes
+//    and the engine still writes its bytes.
 //  * A SIGINT-style stop request drains at a safe point and leaves a
 //    final checkpoint behind that a later run can resume from.
 //
@@ -645,6 +647,71 @@ TEST(Resilience, OutOfRangeBitstateOptionIsRefused) {
     EXPECT_TRUE(ER.Stats.Truncated) << "K=" << K;
     EXPECT_EQ(ER.Stats.NumStates, 0u) << "K=" << K;
   }
+}
+
+namespace {
+
+/// The options tests/fixtures/lamport2-sc-mid.rkcp was written under,
+/// pinned against the ROCKER_NO_COMPRESS / ROCKER_NO_POR test passes.
+RockerOptions fixtureOpts() {
+  RockerOptions O = baseOpts(1);
+  O.CompressVisited = true;
+  O.UsePor = true;
+  O.StopOnViolation = false;
+  O.RecordTrace = true;
+  return O;
+}
+
+/// Zeroes the two wall-clock fields of a sequential checkpoint file (run
+/// seconds after the engine/rung/order/parents bytes and three counts,
+/// checkpoint seconds after eight more counts, no downgrades and two
+/// checkpoint counters) and the payload hash that covers them.
+std::string maskTimings(std::string Data) {
+  for (size_t At : {size_t{24}, CkptHeaderBytes + 28, CkptHeaderBytes + 117})
+    std::memset(&Data[At], 0, 8);
+  return Data;
+}
+
+} // namespace
+
+TEST(Resilience, CommittedSequentialCheckpointResumes) {
+  // tests/fixtures/lamport2-sc-mid.rkcp is a format-3 checkpoint of
+  // lamport2-sc cut at 250 of its 488 states (compressed visited set,
+  // parent links, forced checkpoints every 100 expansions), written by
+  // the engine before its stores moved to PageArray. Resuming it must
+  // give the uninterrupted run's verdict, counts and trace text, and the
+  // same cut taken now must write the same bytes but for its timings.
+  const std::string Fixture =
+      std::string(ROCKER_FIXTURES_DIR) + "/lamport2-sc-mid.rkcp";
+  Program P = findCorpusEntry("lamport2-sc").parse();
+  RockerReport Ref = checkRobustness(P, fixtureOpts());
+  ASSERT_TRUE(Ref.Complete);
+  ASSERT_FALSE(Ref.Robust);
+  EXPECT_EQ(Ref.Stats.NumStates, 488u);
+  EXPECT_EQ(Ref.Stats.NumTransitions, 558u);
+  EXPECT_EQ(Ref.Violations.size(), 28u);
+
+  RockerOptions RO = fixtureOpts();
+  RO.Resilience.ResumePath = Fixture;
+  RockerReport R = checkRobustness(P, RO);
+  ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
+      << R.Stats.Resilience.ResumeError;
+  EXPECT_TRUE(R.Stats.Resilience.Resumed);
+  EXPECT_EQ(R.Stats.Resilience.RestoredStates, 250u);
+  EXPECT_EQ(R.Stats.DedupHits, Ref.Stats.DedupHits);
+  expectSameOutcome(Ref, R, "committed checkpoint");
+
+  ScopedFile Ckpt(tmpPath("fixture-rewrite"));
+  RockerOptions Mid = fixtureOpts();
+  Mid.MaxStates = 250;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  Mid.Resilience.CheckpointEveryExpansions = 100;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  const std::string Old = readFile(Fixture), New = readFile(Ckpt.Path);
+  ASSERT_GT(Old.size(), CkptHeaderBytes + 125);
+  EXPECT_EQ(Old.size(), New.size());
+  EXPECT_TRUE(maskTimings(Old) == maskTimings(New))
+      << "the sequential checkpoint bytes changed";
 }
 
 TEST(Resilience, StateCountBeyondPayloadIsRejected) {

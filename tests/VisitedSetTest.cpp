@@ -334,6 +334,22 @@ TEST(StateInterner, RestoreRejectsCountsBeyondPayload) {
   }
 }
 
+TEST(StateInterner, RestoreRejectsArenaLengthBeyondPayload) {
+  // The arena's byte length is read before its entry count. A length the
+  // payload cannot hold must be refused before the arena is sized by it:
+  // sizing first would try to map a terabyte and throw.
+  const std::string Good = internerPayload(2);
+  ASSERT_EQ(static_cast<uint8_t>(Good[Slot0CountAt + 4]), 40u)
+      << "the payload layout moved";
+  std::string Bad = Good.substr(0, Slot0CountAt + 4);
+  uint64_t Len = uint64_t{1} << 40; // As a varint, like BinWriter::str.
+  for (; Len >= 0x80; Len >>= 7)
+    Bad.push_back(static_cast<char>(Len | 0x80));
+  Bad.push_back(static_cast<char>(Len));
+  Bad += Good.substr(Slot0CountAt + 5);
+  EXPECT_FALSE(restores(2, Bad));
+}
+
 TEST(StateInterner, RestoreRejectsIdsPastTheirTable) {
   // Tree entries hold the ids of the slot or table below them; unwinding
   // a state (bitstate seeding after a downgrade) indexes by them, so an
