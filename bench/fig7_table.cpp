@@ -11,9 +11,8 @@
 // below is one RockerOptions change from `base` and reruns the robustness
 // column only:
 //
-//   base           the table's run (POR on, compressed visited set)
+//   base           the table's run (POR on)
 //   no-por         ample-set POR off               verdict = base
-//   raw            visited-set compression off     verdict, counts = base
 //   bitstate       2^24-bit supertrace hashing     (approximate)
 //   collapse       thread-local step collapsing    verdict = base
 //   ckpt-30s       checkpoint every 30 s           verdict, counts = base *+
@@ -101,14 +100,13 @@ RockerOptions baseOptions() {
   RockerOptions O;
   O.MaxStates = 4'000'000;
   O.UsePor = true;
-  O.CompressVisited = true;
   O.StopOnViolation = false; // Full exploration: comparable counts.
   O.RecordTrace = false;
   return O;
 }
 
 const char *const AllConfigs[] = {
-    "base", "no-por", "raw", "bitstate", "collapse", "ckpt-30s", "ckpt-5s",
+    "base", "no-por", "bitstate", "collapse", "ckpt-30s", "ckpt-5s",
     "ckpt-forced", "traced", "threads-2", "threads-4", "sample-random",
     "sample-pct", "sample-por"};
 
@@ -135,9 +133,6 @@ std::optional<Config> makeConfig(const std::string &Name,
     C.SameCounts = true; // Reps reproduce the first one.
   } else if (Name == "no-por") {
     O.UsePor = false;
-  } else if (Name == "raw") {
-    O.CompressVisited = false;
-    C.SameCounts = true;
   } else if (Name == "bitstate") {
     O.BitstateLog2 = 24;
     C.SameVerdict = false;

@@ -167,10 +167,6 @@ const CliOption Options[] = {
        else
          badValue(C, "--bitstate", V);
      }},
-    {"--no-compress", nullptr,
-     "store full state keys instead of the compressed (interned-"
-     "component) visited set",
-     [](CliState &C, const char *) { C.Opts.CompressVisited = false; }},
     {"--visited-log2", "K",
      "initial lock-free root-table capacity 2^K slots (default 2^18); "
      "each table doubles on its own, truncating only at the 2^30 ceiling",
@@ -761,7 +757,6 @@ int main(int argc, char **argv) {
     TSOOptions TO;
     TO.TrencherMode = true;
     TO.Threads = C.Opts.Threads;
-    TO.CompressVisited = C.Opts.CompressVisited;
     TO.DeadlineSeconds = C.Opts.Resilience.DeadlineSeconds;
     TSORobustnessResult T = checkTSORobustness(*P, TO);
     std::printf("TSO baseline (trencher mode): %s (%llu states)%s\n",

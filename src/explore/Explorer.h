@@ -28,8 +28,8 @@
 /// reachable program-state projections (used by the state-robustness
 /// oracles), and the resilience governor.
 ///
-/// State payloads live only in the frontier (BFS queue or DFS stack)
-/// and are dropped once expanded: after that a state exists only as its
+/// State payloads live only in the frontier, a FIFO queue, and are
+/// dropped once expanded: after that a state exists only as its
 /// visited-set entry and, with RecordParents, a fixed-size trace edge from
 /// which the step text is rendered when a trace is printed. For
 /// subsystems whose key decodes (HasStateCodec: SCM, SC) a frontier entry
@@ -64,7 +64,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -96,8 +95,8 @@ struct ExploreStats {
   uint64_t PeakFrontier = 0;
   /// Estimated heap bytes held by the visited set at the end of the run.
   uint64_t VisitedBytes = 0;
-  /// Estimated heap bytes a raw (full serialized key per state) visited
-  /// set would have held; equals VisitedBytes when compression is off.
+  /// Estimated heap bytes a visited set of full serialized keys (one
+  /// hash-map node per state) would have held.
   uint64_t VisitedRawBytes = 0;
   /// Engine-reported wall-clock time of the exploration; benches consume
   /// this instead of re-timing externally.
@@ -129,7 +128,8 @@ struct ExploreStats {
   };
   std::vector<WorkerCounters> Workers;
 
-  /// Visited-set compression ratio (raw / actual); 1 when uncompressed.
+  /// Visited-set compression ratio (raw / actual); 1 when nothing is
+  /// stored.
   double compressionRatio() const {
     return VisitedBytes
                ? static_cast<double>(VisitedRawBytes) / VisitedBytes
@@ -137,31 +137,30 @@ struct ExploreStats {
   }
 };
 
-/// Search order for the exploration.
+/// The sequential engine's search order. It has one value: the engine
+/// is breadth-first, so counterexample traces are shortest. The enum and
+/// the Order fields of ExploreOptions and RockerOptions have no effect and
+/// leave with the options-struct merge in the next benchmark revision.
 enum class SearchOrder : uint8_t {
-  BFS, ///< Breadth-first: counterexample traces are shortest (default).
-  DFS  ///< Depth-first: Spin's default order; typically finds *some*
-       ///< violation faster on non-robust programs, with longer traces.
+  BFS,
 };
 
 /// Exploration options.
 struct ExploreOptions {
   uint64_t MaxStates = UINT64_MAX;
+  /// No effect (see SearchOrder).
   SearchOrder Order = SearchOrder::BFS;
   /// When non-zero, use Spin-style bitstate hashing with 2^k bits
   /// instead of storing full state keys: the visited set shrinks to
   /// 2^k/8 bytes, so only the visited bits and the unexpanded frontier
   /// (the only payloads any mode keeps) occupy memory — but hash
   /// collisions may prune reachable states, making "no violation"
-  /// results approximate (violations found remain real). Takes
-  /// precedence over CompressVisited.
+  /// results approximate (violations found remain real).
   unsigned BitstateLog2 = 0;
-  /// Store visited states as tuples of interned component ids
-  /// (support/StateInterner.h) instead of full serialized keys. Exact —
-  /// identical verdicts, counts, and reports — while typically shrinking
-  /// the visited set several-fold. Default on; ROCKER_NO_COMPRESS=1
-  /// flips the default (for CI equivalence runs and A/B measurement).
-  bool CompressVisited = defaultCompressVisited();
+  /// No effect: the exact visited set is always the collapse-compressed
+  /// StateInterner. Leaves with the options-struct merge in the next
+  /// benchmark revision.
+  bool CompressVisited = true;
   bool RecordParents = true;
   bool StopOnViolation = true;
   bool CheckAssertions = true;
@@ -231,6 +230,19 @@ inline Violation decodeViolation(BinReader &R) {
   return V;
 }
 
+/// Resume errors for sequential checkpoints in a retired format: the
+/// depth-first search order (order byte 1) and the raw-key visited map
+/// (visited-set tag 1).
+inline std::string retiredSearchOrderError() {
+  return "checkpoint uses the retired depth-first search order; start the "
+         "run afresh";
+}
+
+inline std::string retiredRawVisitedError() {
+  return "checkpoint uses the retired raw-key visited set (tag 1); start "
+         "the run afresh";
+}
+
 /// The product explorer. \p AccessHook is called for every pending access
 /// of every expanded state with (MemState, ThreadId, Pc, MemAccess) and
 /// may return a Violation-like payload via std::optional<Violation>.
@@ -287,7 +299,7 @@ public:
       Rung = resilience::StorageRung::Bitstate;
       Bitstate.assignZeroed((static_cast<size_t>(1) << Opts.BitstateLog2) /
                             64);
-    } else if (Opts.CompressVisited) {
+    } else {
       Interner.emplace(P.numThreads() + memComponentCount(Mem));
       SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
                                  memPerThreadTailComponents(Mem));
@@ -359,24 +371,18 @@ public:
       Res.Stats.PeakFrontier =
           std::max(Res.Stats.PeakFrontier,
                    static_cast<uint64_t>(Frontier.size()));
-      const bool Bfs = Opts.Order == SearchOrder::BFS;
+      // The queue holds the newest states in discovery order, so the
+      // front one's id is implicit.
+      uint64_t Id = NumStored - Frontier.size();
       if constexpr (HasCodec) {
-        KeyFrontier::Entry E = Bfs ? Frontier.front() : Frontier.back();
-        uint64_t Id = E.Id;
-        decodeProductStateKey(Mem, E.Key.data(), Cur.Threads, Cur.M);
-        if (Bfs)
-          Frontier.popFront();
-        else
-          Frontier.popBack();
+        decodeProductStateKey(Mem, Frontier.front().data(), Cur.Threads,
+                              Cur.M);
+        Frontier.popFront();
         expand(Id, Cur, Res, Hook, SHook);
       } else {
-        Pending Next = Bfs ? std::move(Frontier.front())
-                           : std::move(Frontier.back());
-        if (Bfs)
-          Frontier.pop_front();
-        else
-          Frontier.pop_back();
-        expand(Next.Id, Next.S, Res, Hook, SHook);
+        ProductState Next = std::move(Frontier.front());
+        Frontier.pop_front();
+        expand(Id, Next, Res, Hook, SHook);
       }
       fi::maybeKill("explore.expand");
       if ((++Expanded & 1023) == 0)
@@ -391,16 +397,9 @@ public:
       writeCheckpoint(Res, Expanded, elapsedSeconds());
 
     Res.Stats.NumStates = NumStored;
-    if (Opts.BitstateLog2) {
-      Res.Stats.VisitedBytes = Bitstate.size() * sizeof(uint64_t);
-      Res.Stats.VisitedRawBytes = RawVisitedBytes;
-    } else if (Interner) {
-      Res.Stats.VisitedBytes = Interner->bytesUsed();
-      Res.Stats.VisitedRawBytes = Interner->rawBytes();
-    } else {
-      Res.Stats.VisitedBytes = RawVisitedBytes;
-      Res.Stats.VisitedRawBytes = RawVisitedBytes;
-    }
+    Res.Stats.VisitedBytes = visitedBytes();
+    Res.Stats.VisitedRawBytes =
+        Opts.BitstateLog2 ? RawVisitedBytes : Interner->rawBytes();
     Res.Stats.Seconds =
         SecondsBase +
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -494,13 +493,6 @@ private:
     Label L{};
   };
 
-  /// An unexpanded state of a subsystem without a key decoder: its id
-  /// (discovery index) and payload.
-  struct Pending {
-    uint64_t Id = 0;
-    ProductState S;
-  };
-
   /// The step text formatViolation prints for \p E.
   std::string edgeText(const ParentEdge &E) const {
     if (E.Internal)
@@ -540,44 +532,32 @@ private:
       return finishNew(std::move(S), Key, Res, SHook);
     }
 
-    if (Interner) {
-      // Intern per-thread and memory components, then the id tuple. The
-      // components are cut from one buffer that ends up holding exactly
-      // productStateKey (each component goes to its SlotOrder slot), so
-      // the tuple is new iff the raw key would have been.
-      TupleBuf.resize(Interner->numSlots());
-      KeyBuf.clear();
-      size_t Start = 0;
-      unsigned Idx = 0;
-      auto Cut = [&] {
-        unsigned Slot = SlotOrder[Idx++];
-        TupleBuf[Slot] = Interner->internComponent(
-            Slot, std::string_view(KeyBuf).substr(Start));
-        Start = KeyBuf.size();
-      };
-      for (const ThreadState &TS : S.Threads) {
-        appendThreadStateKey(KeyBuf, TS);
-        Cut();
-      }
-      serializeMemComponents(Mem, S.M, KeyBuf, Cut);
-      auto [Id, New] = Interner->insertTuple(
-          TupleBuf.data(), stringNodeBytes(KeyBuf.size(), sizeof(uint64_t)));
-      if (!New) {
-        ++Res.Stats.DedupHits;
-        return Id; // Dense tuple ids coincide with state ids.
-      }
-      return finishNew(std::move(S), KeyBuf, Res, SHook);
+    // Intern per-thread and memory components, then the id tuple. The
+    // components are cut from one buffer that ends up holding exactly
+    // productStateKey (each component goes to its SlotOrder slot), so
+    // the tuple is new iff the key is.
+    TupleBuf.resize(Interner->numSlots());
+    KeyBuf.clear();
+    size_t Start = 0;
+    unsigned Idx = 0;
+    auto Cut = [&] {
+      unsigned Slot = SlotOrder[Idx++];
+      TupleBuf[Slot] = Interner->internComponent(
+          Slot, std::string_view(KeyBuf).substr(Start));
+      Start = KeyBuf.size();
+    };
+    for (const ThreadState &TS : S.Threads) {
+      appendThreadStateKey(KeyBuf, TS);
+      Cut();
     }
-
-    std::string Key = productStateKey(Mem, S.Threads, S.M);
-    size_t KeyLen = Key.size();
-    auto [It, New] = Visited.emplace(std::move(Key), NumStored);
+    serializeMemComponents(Mem, S.M, KeyBuf, Cut);
+    auto [Id, New] = Interner->insertTuple(
+        TupleBuf.data(), stringNodeBytes(KeyBuf.size(), sizeof(uint64_t)));
     if (!New) {
       ++Res.Stats.DedupHits;
-      return It->second;
+      return Id; // Dense tuple ids coincide with state ids.
     }
-    RawVisitedBytes += stringNodeBytes(KeyLen, sizeof(uint64_t));
-    return finishNew(std::move(S), It->first, Res, SHook);
+    return finishNew(std::move(S), KeyBuf, Res, SHook);
   }
 
   /// Common tail for newly visited states: record the program-state
@@ -596,9 +576,9 @@ private:
     if (Opts.RecordParents)
       Parents.push_back(ParentEdge{});
     if constexpr (HasCodec)
-      Frontier.push(Id, Key);
+      Frontier.push(Key);
     else
-      Frontier.push_back(Pending{Id, std::move(S)});
+      Frontier.push_back(std::move(S));
     return Id;
   }
 
@@ -619,10 +599,7 @@ private:
     }
     if ((++PubCount & 7) != 0)
       return;
-    uint64_t VisitedB = Opts.BitstateLog2
-                            ? Bitstate.size() * sizeof(uint64_t)
-                        : Interner ? Interner->bytesUsed()
-                                   : RawVisitedBytes;
+    uint64_t VisitedB = visitedBytes();
     obs::progressVisitedBytes(VisitedB);
     obs::traceCounter(obs::TraceCounterTrack::VisitedBytes, VisitedB);
   }
@@ -694,14 +671,16 @@ private:
                .count();
   }
 
+  /// Bytes the visited set holds: the bit array or the interner.
+  uint64_t visitedBytes() const {
+    return Opts.BitstateLog2 ? Bitstate.size() * sizeof(uint64_t)
+                             : Interner->bytesUsed();
+  }
+
   /// Bytes the governor charges against --mem-budget: the visited set
   /// plus the frontier payloads.
   uint64_t governedBytes() const {
-    uint64_t VisitedB = Opts.BitstateLog2
-                            ? Bitstate.size() * sizeof(uint64_t)
-                        : Interner ? Interner->bytesUsed()
-                                   : RawVisitedBytes;
-    return VisitedB + Frontier.size() * PayloadUnit;
+    return visitedBytes() + Frontier.size() * PayloadUnit;
   }
 
   /// One governor tick: stop flag, deadline, periodic checkpoint, memory
@@ -799,29 +778,23 @@ private:
     Bitstate.assignZeroed((static_cast<size_t>(1) << K) / 64);
     Opts.BitstateLog2 = K;
     Res.Approximate = true;
-    auto Seed = [&](const std::string &Key) {
+    RawVisitedBytes = Interner->rawBytes();
+    Interner->forEachRawKey(SlotOrder, [&](const std::string &Key) {
       markBits(hashBytes(reinterpret_cast<const uint8_t *>(Key.data()),
                          Key.size()));
-    };
-    if (Interner) {
-      RawVisitedBytes = Interner->rawBytes();
-      Interner->forEachRawKey(SlotOrder, Seed);
-      Interner.reset();
-    } else {
-      for (const auto &KV : Visited)
-        Seed(KV.first);
-      std::unordered_map<std::string, uint64_t, StateKeyHash>().swap(
-          Visited);
-    }
+    });
+    Interner.reset();
   }
 
   /// Hash of everything that must match between a checkpointing run and
-  /// a resuming run for the serialized state to mean the same thing.
+  /// a resuming run for the serialized state to mean the same thing. The
+  /// order and compress terms are fixed: they keep the hashes of
+  /// checkpoints written while those were settings.
   uint64_t configHash() const {
     std::string S = toString(P);
     S += "|engine=seq";
-    S += "|order=" + std::to_string(static_cast<int>(Opts.Order));
-    S += "|compress=" + std::to_string(Opts.CompressVisited);
+    S += "|order=0";
+    S += "|compress=1";
     S += "|bitstate=" + std::to_string(Opts.BitstateLog2);
     S += "|parents=" + std::to_string(Opts.RecordParents);
     S += "|stoponviol=" + std::to_string(Opts.StopOnViolation);
@@ -847,12 +820,11 @@ private:
       BinWriter W;
       W.u8(0); // Engine: sequential.
       W.u8(static_cast<uint8_t>(Rung));
-      W.u8(Opts.Order == SearchOrder::DFS ? 1 : 0);
+      W.u8(0); // Search order: breadth-first (1 was depth-first).
       W.u8(Opts.RecordParents ? 1 : 0);
-      // Under BFS the frontier holds ids [Cursor, N); DFS ignores Cursor.
-      uint64_t Cursor = Frontier.empty() ? NumStored : Frontier.front().Id;
+      // The frontier holds the states with ids [Cursor, N).
       W.u64(NumStored);
-      W.u64(Cursor);
+      W.u64(NumStored - Frontier.size());
       W.u64(Expanded);
       W.f64(Elapsed);
       W.u64(Res.Stats.NumTransitions);
@@ -881,31 +853,20 @@ private:
       for (const Violation &V : Res.Violations)
         encodeViolation(W, V);
       // Visited set, tagged by representation at checkpoint time (the
-      // ladder may have changed it since the run started).
+      // ladder may have changed it since the run started): 0 is the
+      // interner, 2 the bit array; 1 was the retired raw-key map.
       if (Opts.BitstateLog2) {
         W.u8(2);
         W.u64(RawVisitedBytes);
         W.u64(Bitstate.size());
         W.bytes(Bitstate.data(), Bitstate.size() * sizeof(uint64_t));
-      } else if (Interner) {
+      } else {
         W.u8(0);
         Interner->save(W);
-      } else {
-        W.u8(1);
-        W.u64(RawVisitedBytes);
-        W.u64(Visited.size());
-        for (const auto &KV : Visited) {
-          W.str(KV.first);
-          W.u64(KV.second);
-        }
       }
-      // Frontier keys, verbatim; DFS stack entries carry their ids.
+      // Frontier keys, verbatim, in queue order.
       W.u64(Frontier.size());
-      Frontier.forEach([&](const KeyFrontier::Entry &E) {
-        if (Opts.Order == SearchOrder::DFS)
-          W.u64(E.Id);
-        W.str(E.Key);
-      });
+      Frontier.forEach([&](std::string_view Key) { W.str(Key); });
       if (Opts.RecordParents)
         for (const ParentEdge &E : Parents) {
           W.varu64(E.Parent);
@@ -953,14 +914,17 @@ private:
       BinReader R(*Payload);
       uint8_t Engine = R.u8();
       uint8_t RungByte = R.u8();
-      uint8_t IsDfs = R.u8();
+      uint8_t OrderByte = R.u8();
       uint8_t HasParents = R.u8();
       if (R.fail() || Engine != 0) {
         RR.ResumeError = "checkpoint was written by a different engine";
         return false;
       }
-      if ((IsDfs != 0) != (Opts.Order == SearchOrder::DFS) ||
-          (HasParents != 0) != Opts.RecordParents ||
+      if (OrderByte == 1) {
+        RR.ResumeError = retiredSearchOrderError();
+        return false;
+      }
+      if (OrderByte != 0 || (HasParents != 0) != Opts.RecordParents ||
           RungByte > static_cast<uint8_t>(
                          resilience::StorageRung::Bitstate)) {
         RR.ResumeError = "checkpoint search configuration mismatch";
@@ -1030,24 +994,16 @@ private:
           return false;
         }
       } else if (Tag == 1) {
-        if (Interner || Opts.BitstateLog2) {
-          RR.ResumeError = "checkpoint visited-set mode mismatch";
-          return false;
-        }
-        RawVisitedBytes = R.u64();
-        uint64_t NumKeys = R.u64();
-        for (uint64_t I = 0; I != NumKeys && !R.fail(); ++I) {
-          std::string Key = R.str();
-          uint64_t Id = R.u64();
-          Visited.emplace(std::move(Key), Id);
-        }
+        RR.ResumeError = retiredRawVisitedError();
+        return false;
       } else {
         RR.ResumeError = "corrupt checkpoint: unknown visited-set tag";
         return false;
       }
+      // The frontier holds exactly the states [Cursor, N): their ids are
+      // implicit in their queue positions.
       uint64_t NumFrontier = R.u64();
-      const bool Bfs = Opts.Order == SearchOrder::BFS;
-      if (R.fail() || (Bfs && (Cursor > N || NumFrontier != N - Cursor))) {
+      if (R.fail() || Cursor > N || NumFrontier != N - Cursor) {
         RR.ResumeError = "corrupt checkpoint: frontier shape";
         return false;
       }
@@ -1057,15 +1013,13 @@ private:
       for (const SequentialProgram &SP : P.Threads)
         Check.Threads.push_back(ThreadState::initial(SP));
       for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
-        uint64_t Id = Bfs ? Cursor + I : R.u64();
         std::string Key = R.str();
-        if (R.fail() || Id >= N ||
-            !decodeProductStateKeyChecked(Mem, Key, Check.Threads,
-                                          Check.M)) {
+        if (R.fail() || !decodeProductStateKeyChecked(Mem, Key, Check.Threads,
+                                                      Check.M)) {
           RR.ResumeError = "corrupt checkpoint: frontier state";
           return false;
         }
-        Frontier.push(Id, Key);
+        Frontier.push(Key);
       }
       if (Opts.RecordParents) {
         // One trace edge per state, each at least MinEdgeBytes long.
@@ -1126,19 +1080,19 @@ private:
   ExploreOptions Opts;
   ExpansionCore<MemSys> Core; ///< Checks and successor generation.
   ExpandScratch Scratch;      ///< The core's buffers and POR counters.
-  /// Discovered-but-unexpanded states, in discovery order: BFS pops the
-  /// front, DFS the back. No other payloads are kept.
-  std::conditional_t<HasCodec, KeyFrontier, std::deque<Pending>> Frontier;
+  /// Discovered-but-unexpanded states, a FIFO queue in discovery order:
+  /// it holds the ids [NumStored - size, NumStored). No other payloads
+  /// are kept.
+  std::conditional_t<HasCodec, KeyFrontier, std::deque<ProductState>>
+      Frontier;
   uint64_t NumStored = 0; ///< States interned so far; the next state's id.
   PageArray<ParentEdge> Parents; ///< Trace edges, indexed by state id.
-  /// Raw visited map (CompressVisited off and no bitstate hashing).
-  std::unordered_map<std::string, uint64_t, StateKeyHash> Visited;
-  /// Compressed visited set (engaged when CompressVisited is on).
+  /// The exact visited set; reset when the ladder moves to bitstate.
   std::optional<StateInterner> Interner;
   std::string KeyBuf;             ///< Scratch: the key being interned.
   std::vector<uint32_t> TupleBuf; ///< Scratch: current id tuple.
   std::vector<uint32_t> SlotOrder; ///< Emission index → tuple slot.
-  uint64_t RawVisitedBytes = 0;   ///< Raw-key byte accounting.
+  uint64_t RawVisitedBytes = 0;   ///< Raw-key bytes under bitstate.
   PageArray<uint64_t> Bitstate;   ///< Bitstate-hashing visited bits.
   uint64_t PubTransitions = 0; ///< Progress: last published transitions.
   uint64_t PubDedupHits = 0;   ///< Progress: last published dedup hits.

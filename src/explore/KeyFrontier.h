@@ -8,14 +8,17 @@
 /// On lamport2-3-ra a key is 136 bytes where a ProductState holds a
 /// 1,424-byte monitor buffer plus its vectors.
 ///
-/// Entries are packed back to back into blocks of BlockBytes:
+/// The frontier is a FIFO queue. Entries are packed back to back into
+/// blocks of BlockBytes:
 ///
-///   u64 id | u32 length | key bytes | u32 length
+///   u32 length | key bytes
 ///
-/// The trailing length lets DFS pop from the back. Every block is
-/// allocated with KeySlack zeroed bytes past its end, so a decoder may load
-/// whole words up to the end of any key. A drained block is kept as a spare
-/// for the next one, so a BFS run that pops as fast as it pushes does not
+/// No entry stores its state id: ids are discovery indices and the queue
+/// holds the most recently discovered states in order, so the front
+/// entry's id is always (states stored) - size(). Every block is allocated
+/// with KeySlack zeroed bytes past its end, so a decoder may load whole
+/// words up to the end of any key. A drained block is kept as a spare for
+/// the next one, so a run that pops as fast as it pushes does not
 /// allocate.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,77 +40,57 @@ namespace rocker {
 
 class KeyFrontier {
 public:
-  /// One entry; Key points into the frontier and stays valid until the
-  /// next push or pop.
-  struct Entry {
-    uint64_t Id;
-    std::string_view Key;
-  };
-
   /// Block size; a key longer than a block gets a block of its own.
   static constexpr size_t BlockBytes = 64 * 1024;
   /// Bytes an entry adds besides its key.
-  static constexpr size_t EntryOverhead =
-      sizeof(uint64_t) + 2 * sizeof(uint32_t);
+  static constexpr size_t EntryOverhead = sizeof(uint32_t);
 
   /// Bytes an entry with a \p KeyLen-byte key occupies.
   static uint64_t entryBytes(size_t KeyLen) { return EntryOverhead + KeyLen; }
 
-  void push(uint64_t Id, std::string_view Key) {
+  void push(std::string_view Key) {
     size_t Need = entryBytes(Key.size());
     if (Blocks.empty() || Blocks.back().Cap - Blocks.back().End < Need)
       Blocks.push_back(newBlock(Need));
     Block &B = Blocks.back();
     char *P = B.Data.get() + B.End;
     uint32_t Len = static_cast<uint32_t>(Key.size());
-    std::memcpy(P, &Id, sizeof(Id));
-    std::memcpy(P + sizeof(Id), &Len, sizeof(Len));
-    std::copy(Key.begin(), Key.end(), P + sizeof(Id) + sizeof(Len));
-    std::memcpy(P + sizeof(Id) + sizeof(Len) + Len, &Len, sizeof(Len));
+    std::memcpy(P, &Len, sizeof(Len));
+    std::copy(Key.begin(), Key.end(), P + sizeof(Len));
     B.End += Need;
     ++Count;
   }
 
-  Entry front() const {
+  /// The oldest key; it points into the frontier and stays valid until
+  /// the next push or pop.
+  std::string_view front() const {
     assert(Count && "front of an empty frontier");
     const Block &B = Blocks.front();
-    return entryAt(B.Data.get() + B.Begin);
-  }
-
-  Entry back() const {
-    assert(Count && "back of an empty frontier");
-    const Block &B = Blocks.back();
-    uint32_t Len;
-    std::memcpy(&Len, B.Data.get() + B.End - sizeof(Len), sizeof(Len));
-    return entryAt(B.Data.get() + B.End - entryBytes(Len));
+    return keyAt(B.Data.get() + B.Begin);
   }
 
   void popFront() {
     Block &B = Blocks.front();
-    B.Begin += entryBytes(front().Key.size());
+    B.Begin += entryBytes(front().size());
     --Count;
-    if (B.Begin == B.End)
-      retire(/*Front=*/true);
-  }
-
-  void popBack() {
-    Block &B = Blocks.back();
-    B.End -= entryBytes(back().Key.size());
-    --Count;
-    if (B.Begin == B.End)
-      retire(/*Front=*/false);
+    if (B.Begin == B.End) {
+      // Keep a drained standard block as the spare.
+      if (B.Cap == BlockBytes)
+        Spare = std::move(B);
+      Blocks.pop_front();
+    }
   }
 
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
 
-  /// Calls \p F(const Entry &) for every entry, front to back.
+  /// Calls \p F(std::string_view Key) for every entry, front to back.
   template <typename Fn> void forEach(Fn F) const {
     for (const Block &B : Blocks)
       for (size_t Off = B.Begin; Off != B.End;) {
-        Entry E = entryAt(B.Data.get() + Off);
-        F(E);
-        Off += entryBytes(E.Key.size());
+        std::string_view Key = keyAt(B.Data.get() + Off);
+        F(Key);
+        Off += entryBytes(Key.size());
       }
   }
 
@@ -119,12 +102,10 @@ private:
     size_t End = 0;   ///< Offset past the last live entry.
   };
 
-  static Entry entryAt(const char *P) {
-    uint64_t Id;
+  static std::string_view keyAt(const char *P) {
     uint32_t Len;
-    std::memcpy(&Id, P, sizeof(Id));
-    std::memcpy(&Len, P + sizeof(Id), sizeof(Len));
-    return {Id, std::string_view(P + sizeof(Id) + sizeof(Len), Len)};
+    std::memcpy(&Len, P, sizeof(Len));
+    return std::string_view(P + sizeof(Len), Len);
   }
 
   Block newBlock(size_t Need) {
@@ -137,18 +118,6 @@ private:
     B.Cap = std::max(BlockBytes, Need);
     B.Data.reset(new char[B.Cap + KeySlack]());
     return B;
-  }
-
-  /// Drops the drained block at the front or back, keeping it as the
-  /// spare when it is a standard block.
-  void retire(bool Front) {
-    Block &B = Front ? Blocks.front() : Blocks.back();
-    if (B.Cap == BlockBytes)
-      Spare = std::move(B);
-    if (Front)
-      Blocks.pop_front();
-    else
-      Blocks.pop_back();
   }
 
   std::deque<Block> Blocks;

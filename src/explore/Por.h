@@ -46,8 +46,9 @@
 /// graph consists of ample transitions only — every cycle contains a
 /// fully-expanded state. The condition is a pure function of the state
 /// (no visited-set or stack dependence), which makes ample selection
-/// deterministic and search-order independent: BFS, DFS, and the parallel
-/// engine reduce to the *same* state graph.
+/// deterministic and search-order independent: the sequential BFS and
+/// the parallel engine's work-stealing order reduce to the *same* state
+/// graph.
 ///
 /// **Subsystem opt-in.** Reduction additionally requires the memory
 /// subsystem to declare `porEligible(State)`. A subsystem may only return

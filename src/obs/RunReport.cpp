@@ -59,9 +59,7 @@ json::Value configJson(const RockerOptions &C) {
   J.set("threads", C.Threads);
   J.set("max_states", C.MaxStates);
   J.set("max_seconds", C.MaxSeconds);
-  J.set("order", C.Order == SearchOrder::BFS ? "bfs" : "dfs");
   J.set("bitstate_log2", C.BitstateLog2);
-  J.set("compress_visited", C.CompressVisited);
   J.set("critical_abstraction", C.UseCriticalAbstraction);
   J.set("check_assertions", C.CheckAssertions);
   J.set("check_races", C.CheckRaces);

@@ -10,11 +10,10 @@
 ///  * Visited set: a lock-free collapse-compressed set of interned
 ///    component-id tuples (support/LockFreeVisited.h — CAS-claimed
 ///    open-address tables with dense ids, so a successor re-interns only
-///    its changed chunks against its parent's cached ids);
-///    CompressVisited off swaps the compressed layout for full serialized
-///    product-state keys. Both deduplicate exactly, so a run that is not
-///    truncated visits exactly the reachable state set — state and
-///    transition counts are equal to the sequential engine's. The
+///    its changed chunks against its parent's cached ids). It
+///    deduplicates exactly, so a run that is not truncated visits
+///    exactly the reachable state set — state and transition counts
+///    are equal to the sequential engine's. The
 ///    management thread doubles each lock-free table on its own as it
 ///    fills; on the (engineered-to-be-rare)
 ///    full-table event the run truncates like a MaxStates cut rather than
@@ -38,8 +37,8 @@
 ///    of aborting; a violation found before the limit still wins.
 ///
 /// Not supported (the dispatchers in rocker/ fall back to the sequential
-/// engine): bitstate hashing, DFS order, parent tracking for states other
-/// than via replay.
+/// engine): bitstate hashing, parent tracking for states other than via
+/// replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +84,8 @@ const char *parVerdictName(ParVerdict V);
 /// Resume error for a parallel checkpoint whose visited set uses a
 /// retired format: tags 0 and 1 held the mutex-striped tier's tuples and
 /// keys; tags 3 and 4 stored lock-free slot placements at a fixed
-/// capacity, from when lock-free ids were slot indices.
+/// capacity, from when lock-free ids were slot indices; tag 6 held the
+/// raw-key lock-free set.
 inline std::string retiredVisitedFormatError(unsigned Tag) {
   return "checkpoint uses a retired parallel visited-set format (tag " +
          std::to_string(Tag) + "); start the run afresh";
@@ -110,8 +110,7 @@ concept HasIncrementalHash =
 unsigned resolveThreadCount(unsigned Requested);
 
 /// Options for the parallel engine. Semantic options mirror
-/// ExploreOptions; exploration-order options (BFS/DFS, bitstate) do not
-/// exist here by design.
+/// ExploreOptions; bitstate hashing does not exist here by design.
 struct ParExploreOptions {
   unsigned Threads = 0;  ///< Worker count; 0 = hardware concurrency.
   uint64_t MaxStates = UINT64_MAX;
@@ -125,9 +124,9 @@ struct ParExploreOptions {
   bool RecordTrace = true;
   /// Run the deterministic sequential replay when a violation is found.
   bool ReplayOnViolation = true;
-  /// Use the collapse-compressed visited set (exact; see
-  /// ExploreOptions::CompressVisited).
-  bool CompressVisited = defaultCompressVisited();
+  /// No effect: the visited set is always the lock-free interner.
+  /// Leaves with the options-struct merge in the next benchmark revision.
+  bool CompressVisited = true;
   /// Has one value (see VisitedImpl); kept until the next benchmark
   /// revision merges the options structs.
   VisitedImpl Visited = VisitedImpl::LockFree;
@@ -239,14 +238,10 @@ public:
     Shared Sh(NumWorkers);
     const unsigned RootLog2 =
         lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates);
-    if (Opts.CompressVisited) {
-      Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
-          P.numThreads() + memComponentCount(Mem), RootLog2);
-      SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
-                                 memPerThreadTailComponents(Mem));
-    } else {
-      Sh.LfSet = std::make_unique<LockFreeStateSet>(RootLog2);
-    }
+    Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
+        P.numThreads() + memComponentCount(Mem), RootLog2);
+    SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
+                               memPerThreadTailComponents(Mem));
     RunStart = Start;
     auto &RR = Res.Stats.Resilience;
     const resilience::ResilienceOptions &RO = Opts.Resilience;
@@ -347,9 +342,6 @@ public:
     } else if (Sh.LfInterner) {
       Res.Stats.VisitedBytes = Sh.LfInterner->bytesUsed();
       Res.Stats.VisitedRawBytes = Sh.LfInterner->rawBytes();
-    } else if (Sh.LfSet) {
-      Res.Stats.VisitedBytes = Sh.LfSet->bytesUsed();
-      Res.Stats.VisitedRawBytes = Res.Stats.VisitedBytes;
     }
     Res.Stats.PeakFrontier =
         std::max(Sh.PeakFrontier.load(std::memory_order_relaxed),
@@ -488,13 +480,11 @@ private:
       for (unsigned I = 0; I != NumWorkers; ++I)
         Workers.push_back(std::make_unique<WorkerSlot>());
     }
-    /// The exact visited set: LfInterner (compressed) or LfSet (raw),
-    /// engaged by runWithHooks before workers start; both are reset on a
-    /// bitstate downgrade. unique_ptr (not optional) because the tables
-    /// are immovable; each grows in place under a world pause
-    /// (growLockFree).
+    /// The exact visited set, engaged by runWithHooks before workers
+    /// start and reset on a bitstate downgrade. unique_ptr (not optional)
+    /// because the tables are immovable; each grows in place under a
+    /// world pause (growLockFree).
     std::unique_ptr<LockFreeStateInterner> LfInterner;
-    std::unique_ptr<LockFreeStateSet> LfSet;
     ShardedStateSet ProgStates; ///< Program-state projections, if asked.
     TerminationBarrier TB;
     std::vector<std::unique_ptr<WorkerSlot>> Workers;
@@ -623,8 +613,7 @@ private:
   uint64_t governedBytes(const Shared &Sh) const {
     uint64_t V = Sh.BitstateLog2.load(std::memory_order_relaxed)
                      ? Sh.Bitstate.size() * sizeof(uint64_t)
-                 : Sh.LfInterner ? Sh.LfInterner->residentBytes()
-                                 : Sh.LfSet->residentBytes();
+                     : Sh.LfInterner->residentBytes();
     return V + Sh.TB.inFlight() * PayloadUnit;
   }
 
@@ -645,20 +634,12 @@ private:
     unsigned K =
         resilience::bitstateLog2ForBudget(Opts.Resilience.MemBudgetBytes);
     Sh.Bitstate.assignZeroed((1ull << K) / 64);
-    auto Seed = [&](const std::string &Key) {
+    Sh.RawBytesAtDowngrade.store(Sh.LfInterner->rawBytes(),
+                                 std::memory_order_relaxed);
+    Sh.LfInterner->forEachRawKey(SlotOrder, [&](const std::string &Key) {
       bitstateInsert(Sh, K, Key);
-    };
-    if (Sh.LfInterner) {
-      Sh.RawBytesAtDowngrade.store(Sh.LfInterner->rawBytes(),
-                                   std::memory_order_relaxed);
-      Sh.LfInterner->forEachRawKey(SlotOrder, Seed);
-      Sh.LfInterner.reset();
-    } else {
-      Sh.RawBytesAtDowngrade.store(Sh.LfSet->bytesUsed(),
-                                   std::memory_order_relaxed);
-      Sh.LfSet->forEach(Seed);
-      Sh.LfSet.reset();
-    }
+    });
+    Sh.LfInterner.reset();
     // Publish last: workers route markVisited by this flag.
     Sh.BitstateLog2.store(K, std::memory_order_release);
     resilience::DowngradeEvent E;
@@ -692,8 +673,6 @@ private:
     unsigned Doublings = 0;
     if (Sh.LfInterner && !Sh.LfInterner->full())
       Doublings = Sh.LfInterner->grow();
-    else if (Sh.LfSet && !Sh.LfSet->full())
-      Doublings = Sh.LfSet->grow();
     resumeWorld(Sh);
     if (!Doublings)
       return;
@@ -717,7 +696,7 @@ private:
     // them ahead of full(), so their presence is a duty: poll at the
     // fast cadence (wantsGrowth at 1/2 load leaves ~3/8 capacity of
     // headroom against the fill rate between polls).
-    const bool GrowOn = Sh.LfInterner || Sh.LfSet;
+    const bool GrowOn = Sh.LfInterner != nullptr;
     const bool AnyDuty = CkptOn || GrowOn || RO.MemBudgetBytes != 0 ||
                          RO.WatchdogSeconds > 0;
     auto LastCkptT = std::chrono::steady_clock::now();
@@ -771,8 +750,7 @@ private:
       }
       if (GrowOn && !Sh.TB.stopped() &&
           Sh.BitstateLog2.load(std::memory_order_relaxed) == 0) {
-        if (Sh.LfInterner ? Sh.LfInterner->wantsGrowth()
-                          : Sh.LfSet && Sh.LfSet->wantsGrowth()) {
+        if (Sh.LfInterner && Sh.LfInterner->wantsGrowth()) {
           growLockFree(Sh);
           // The pause stalls expansion; don't let it trip the watchdog.
           WatchT = std::chrono::steady_clock::now();
@@ -821,10 +799,12 @@ private:
   /// Hash of everything that must match for a checkpoint to be resumable.
   /// Thread/shard counts are deliberately excluded: a checkpoint taken at
   /// -j4 resumes fine at -j1 (the frontier is redistributed round-robin).
+  /// The compress term is fixed: it keeps the hashes of checkpoints
+  /// written while it was a setting.
   uint64_t configHash() const {
     std::string S = toString(P);
     S += "|engine=par";
-    S += "|compress=" + std::to_string(Opts.CompressVisited);
+    S += "|compress=1";
     S += "|stoponviol=" + std::to_string(Opts.StopOnViolation);
     S += "|asserts=" + std::to_string(Opts.CheckAssertions);
     S += "|races=" + std::to_string(Opts.CheckRaces);
@@ -921,14 +901,11 @@ private:
         W.u64(Sh.RawBytesAtDowngrade.load(std::memory_order_relaxed));
         W.u64(Sh.Bitstate.size());
         W.bytes(Sh.Bitstate.data(), Sh.Bitstate.size() * sizeof(uint64_t));
-      } else if (Sh.LfInterner) {
-        // Tags 5 and 6 hold (id, payload) entries; 0, 1, 3 and 4 are
+      } else {
+        // Tag 5 holds (id, payload) entries; 0, 1, 3, 4 and 6 are
         // retired (see retiredVisitedFormatError).
         W.u8(5);
         Sh.LfInterner->save(W);
-      } else {
-        W.u8(6);
-        Sh.LfSet->save(W);
       }
       uint64_t NumFrontier = 0;
       for (const std::unique_ptr<WorkerSlot> &WS : Sh.Workers)
@@ -1028,7 +1005,6 @@ private:
           return false;
         }
         Sh.LfInterner.reset();
-        Sh.LfSet.reset();
         Sh.RawBytesAtDowngrade.store(R.u64(), std::memory_order_relaxed);
         uint64_t Words = R.u64();
         if (R.fail() || Words != (1ull << K) / 64 ||
@@ -1039,23 +1015,15 @@ private:
         Sh.Bitstate.assignZeroed(Words);
         R.bytes(Sh.Bitstate.data(), Words * sizeof(uint64_t));
         Sh.BitstateLog2.store(K, std::memory_order_relaxed);
-      } else if (Tag <= 1 || Tag == 3 || Tag == 4) {
+      } else if (Tag <= 1 || Tag == 3 || Tag == 4 || Tag == 6) {
         RR.ResumeError = retiredVisitedFormatError(Tag);
         return false;
       } else if (Tag == 5) {
         // Entries carry their ids, so each table sizes itself from its
         // entry count: any --visited-log2 can resume any checkpoint.
-        if (!Sh.LfInterner || !Sh.LfInterner->restore(R)) {
+        if (!Sh.LfInterner->restore(R)) {
           RR.ResumeError =
-              "corrupt checkpoint: lock-free compressed visited set (or "
-              "--compress-visited mismatch)";
-          return false;
-        }
-      } else if (Tag == 6) {
-        if (!Sh.LfSet || !Sh.LfSet->restore(R)) {
-          RR.ResumeError =
-              "corrupt checkpoint: lock-free visited set (or "
-              "--compress-visited mismatch)";
+              "corrupt checkpoint: lock-free compressed visited set";
           return false;
         }
       } else {
@@ -1264,14 +1232,7 @@ private:
     obs::Span Sp(obs::Phase::VisitedProbe);
     if (unsigned K = Sh.BitstateLog2.load(std::memory_order_acquire))
       return bitstateInsert(Sh, K, productStateKey(Mem, S.Threads, S.M));
-    if (Sh.LfInterner)
-      return lockFreeIntern(Sh, S, W, Dirty);
-    lf::ProbeStats St;
-    bool New = Sh.LfSet->insert(productStateKey(Mem, S.Threads, S.M), St);
-    flushProbeStats(W, St);
-    if (!New && Sh.LfSet->full())
-      return tableFull(Sh);
-    return New;
+    return lockFreeIntern(Sh, S, W, Dirty);
   }
 
   void recordViolation(Shared &Sh, Violation &&V) {
@@ -1439,8 +1400,7 @@ private:
       uint64_t VisitedB =
           Sh.BitstateLog2.load(std::memory_order_relaxed)
               ? Sh.Bitstate.size() * sizeof(uint64_t)
-          : Sh.LfInterner ? Sh.LfInterner->bytesUsed()
-                          : Sh.LfSet->bytesUsed();
+              : Sh.LfInterner->bytesUsed();
       obs::progressVisitedBytes(VisitedB);
       obs::traceCounter(obs::TraceCounterTrack::VisitedBytes, VisitedB);
       if (obs::traceActive()) {
@@ -1499,13 +1459,11 @@ private:
   void replay(ParExploreResult &Res, AccessHook &AHook) {
     ExploreOptions EO;
     EO.MaxStates = Opts.MaxStates;
-    EO.Order = SearchOrder::BFS;
     EO.RecordParents = Opts.RecordTrace;
     EO.StopOnViolation = Opts.StopOnViolation;
     EO.CheckAssertions = Opts.CheckAssertions;
     EO.CheckRaces = Opts.CheckRaces;
     EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-    EO.CompressVisited = Opts.CompressVisited;
     // Same reduction in the replay, so it traverses the identical
     // reduced graph and its violations/traces match what was found.
     EO.UsePor = Opts.UsePor;

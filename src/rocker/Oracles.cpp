@@ -15,9 +15,8 @@ namespace {
 
 /// Collects reachable program-state projections under a memory subsystem,
 /// on the engine selected by \p Threads (identical sets either way).
-/// Visited-set compression is left at its default (on unless
-/// ROCKER_NO_COMPRESS is set): it is exact, so oracle verdicts do not
-/// depend on it.
+/// Both engines deduplicate through their exact collapse-compressed
+/// visited set, so the sets are the reachable projections.
 template <typename MemSys>
 ExploreResult collectProgramStates(const Program &P, const MemSys &Mem,
                                    uint64_t MaxStates, unsigned Threads) {

@@ -23,7 +23,6 @@ ParExploreOptions parOptions(const RockerOptions &Opts) {
   PE.CheckRaces = Opts.CheckRaces;
   PE.CollapseLocalSteps = Opts.CollapseLocalSteps;
   PE.RecordTrace = Opts.RecordTrace;
-  PE.CompressVisited = Opts.CompressVisited;
   PE.LockFreeLog2 = Opts.LockFreeLog2;
   PE.UsePor = Opts.UsePor;
   PE.Resilience = Opts.Resilience;
@@ -156,9 +155,7 @@ RockerReport rocker::checkRobustness(const Program &P,
   EO.CheckAssertions = Opts.CheckAssertions;
   EO.CheckRaces = Opts.CheckRaces;
   EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-  EO.Order = Opts.Order;
   EO.BitstateLog2 = Opts.BitstateLog2;
-  EO.CompressVisited = Opts.CompressVisited;
   EO.UsePor = Opts.UsePor;
   EO.Resilience = Opts.Resilience;
 
@@ -206,9 +203,7 @@ RockerReport rocker::exploreSC(const Program &P, const RockerOptions &Opts) {
   EO.CheckAssertions = Opts.CheckAssertions;
   EO.CheckRaces = Opts.CheckRaces;
   EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-  EO.Order = Opts.Order;
   EO.BitstateLog2 = Opts.BitstateLog2;
-  EO.CompressVisited = Opts.CompressVisited;
   EO.UsePor = Opts.UsePor;
   EO.Resilience = Opts.Resilience;
 

@@ -41,15 +41,14 @@ struct RockerOptions {
   /// Collapse deterministic thread-local step chains (verdict-preserving
   /// exploration reduction; see ExploreOptions::CollapseLocalSteps).
   bool CollapseLocalSteps = false;
-  /// Search order (BFS gives shortest counterexamples; DFS is Spin's
-  /// default and often reaches *a* violation faster).
+  /// No effect (see SearchOrder): the sequential engine is breadth-first.
   SearchOrder Order = SearchOrder::BFS;
   /// Spin-style bitstate hashing with 2^k bits when non-zero; "robust"
   /// results become approximate (see ExploreOptions::BitstateLog2).
   unsigned BitstateLog2 = 0;
   /// Worker threads. 1 = the sequential engine (default); >1 = the
-  /// work-stealing engine (parexplore/ParallelExplorer.h), which ignores
-  /// Order and falls back to sequential when BitstateLog2 is set.
+  /// work-stealing engine (parexplore/ParallelExplorer.h), which falls
+  /// back to sequential when BitstateLog2 is set.
   /// Verdicts and full-exploration state counts are identical either way;
   /// violation traces are reconstructed by a sequential replay, so they
   /// are byte-identical too.
@@ -57,10 +56,10 @@ struct RockerOptions {
   /// Wall-clock budget in seconds (parallel engine only; 0 = unlimited).
   /// Exceeding it yields Complete == false instead of running forever.
   double MaxSeconds = 0;
-  /// Collapse-compressed visited set (exact; identical verdicts, counts,
-  /// and reports — see ExploreOptions::CompressVisited). `rocker_cli
-  /// --no-compress` turns it off.
-  bool CompressVisited = defaultCompressVisited();
+  /// No effect: both engines always use their collapse-compressed
+  /// visited set. Leaves with the options-struct merge in the next
+  /// benchmark revision.
+  bool CompressVisited = true;
   /// Has one value, the parallel engine's lock-free tier (see
   /// VisitedImpl); kept until the next benchmark revision merges the
   /// options structs.

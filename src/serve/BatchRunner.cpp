@@ -89,12 +89,6 @@ bool applyOption(RockerOptions &O, const std::string &Key,
     O.MaxSeconds = V.asDouble();
     return true;
   }
-  if (Key == "order") {
-    if (!WantStr() || (V.asString() != "bfs" && V.asString() != "dfs"))
-      return Fail("\"order\" must be \"bfs\" or \"dfs\"");
-    O.Order = V.asString() == "bfs" ? SearchOrder::BFS : SearchOrder::DFS;
-    return true;
-  }
   if (Key == "engine") {
     if (!WantStr())
       return Fail("\"engine\" must be a string");
@@ -123,12 +117,6 @@ bool applyOption(RockerOptions &O, const std::string &Key,
                   std::to_string(resilience::MinBitstateLog2) + ", " +
                   std::to_string(resilience::MaxBitstateLog2) + "]");
     O.BitstateLog2 = static_cast<unsigned>(K);
-    return true;
-  }
-  if (Key == "compress_visited") {
-    if (!WantBool())
-      return Fail("\"compress_visited\" must be a bool");
-    O.CompressVisited = V.asBool();
     return true;
   }
   if (Key == "use_por") {

@@ -31,7 +31,7 @@
 ///
 /// Each job names a corpus program ("program") or a .rkr file ("file");
 /// option keys in "defaults" and per-job use the same spelling as the
-/// run-report config block (threads, max_states, order, engine, samples,
+/// run-report config block (threads, max_states, engine, samples,
 /// mem_budget_bytes, ...). Unknown keys are errors, not ignored.
 ///
 /// The batch summary report ("rocker-batch-report/1") aggregates per-job

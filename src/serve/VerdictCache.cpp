@@ -52,11 +52,12 @@ std::string canonicalOptions(const std::string &Mode,
   Flag("races", O.CheckRaces);
   Flag("stoponviol", O.StopOnViolation);
   Flag("collapse", O.CollapseLocalSteps);
-  S += "|order=";
-  S += O.Order == SearchOrder::BFS ? "bfs" : "dfs";
+  // Fixed terms: the key format is append-only, and these were the
+  // search order and the visited-set compression when they were options.
+  S += "|order=bfs";
   Num("maxstates", O.MaxStates);
   Num("bitstate", O.BitstateLog2);
-  Flag("compress", O.CompressVisited);
+  S += "|compress=1";
   Flag("por", O.UsePor);
   Flag("sampling", O.UseSampling);
   // Sampling knobs matter whenever the sampling engine can run — as the

@@ -15,12 +15,14 @@
 /// report:
 ///
 ///   included — mode (robustness/sc), critical abstraction, assertion /
-///   race checking, stop-on-violation, local-step collapse, search order,
-///   state budget, bitstate width, visited-set compression, POR, the
-///   sampling engine switch (+ samples/seed/depth/scheduler/PCT depth
-///   when sampling can run), the memory budget, and sample-on-exhaustion
+///   race checking, stop-on-violation, local-step collapse, state
+///   budget, bitstate width, POR, the sampling engine switch
+///   (+ samples/seed/depth/scheduler/PCT depth when sampling can run),
+///   the memory budget, and sample-on-exhaustion
 ///   (the latter two steer the degradation ladder, whose provenance is
-///   part of the report).
+///   part of the report). Two fixed terms, |order=bfs and |compress=1,
+///   stand where the retired search order and visited-set compression
+///   options were, so keys stay byte-identical to older caches.
 ///
 ///   excluded — thread counts (both engines certify thread-count-blind
 ///   verdicts, counts, and traces), trace recording, telemetry/progress/

@@ -16,14 +16,12 @@
 ///  * lf::PairSet — the root table: a set of packed pairs whose slot word
 ///    is payload + 1 (no one needs a root id).
 ///  * lf::StringTable — interned byte strings (the per-slot component
-///    tables and the raw full-key set). A slot word points at an
-///    immutable arena record holding the memoized hash, the id and the
-///    bytes; the IdArray maps the id back to the record.
+///    tables). A slot word points at an immutable arena record holding
+///    the memoized hash, the id and the bytes; the IdArray maps the id
+///    back to the record.
 ///  * LockFreeStateInterner — per-slot StringTables feeding one shared
 ///    node PairTable (LTSmin tree compression: adjacent ids are interned
 ///    pairwise, level by level) and the root PairSet.
-///  * LockFreeStateSet — a StringTable over full serialized state keys,
-///    the uncompressed path (CompressVisited off).
 ///
 /// Every table probes linearly from the top bits of a hash of its own
 /// payload (hashMix64 of a pair, the memoized hash of a record), so it
@@ -619,15 +617,6 @@ public:
     return slotBytes() + Ids.bytes() + Arena.bytes();
   }
 
-  /// Calls \p F(bytes) for every stored string. Requires quiesced
-  /// writers.
-  template <typename Fn> void forEach(Fn F) const {
-    forEachWord([&](uint64_t W) {
-      const Record *R = record(W);
-      F(std::string_view(R->data(), R->Len));
-    });
-  }
-
   unsigned grow() {
     return growBy([](uint64_t W) { return record(W)->Hash; });
   }
@@ -709,49 +698,6 @@ inline uint64_t packPair(uint32_t L, uint32_t R) {
 }
 
 } // namespace lf
-
-/// The uncompressed lock-free visited set: full serialized state keys in
-/// one dbs-ll StringTable.
-class LockFreeStateSet {
-public:
-  explicit LockFreeStateSet(unsigned Log2) : Table(Log2) {}
-
-  /// True iff \p Key was new. A false return with full() latched means
-  /// the key could not be stored — the caller must treat the run as
-  /// bounded, not the state as a duplicate.
-  bool insert(std::string_view Key, lf::ProbeStats &St) {
-    bool WasNew = false;
-    Table.intern(Key, St, WasNew);
-    return WasNew;
-  }
-
-  bool full() const { return Table.full(); }
-  uint64_t size() const { return Table.used(); }
-  uint64_t bytesUsed() const { return Table.bytesUsed(); }
-  uint64_t residentBytes() const { return Table.residentBytes(); }
-  unsigned log2() const { return Table.log2(); }
-  bool wantsGrowth() const { return Table.wantsGrowth(); }
-
-  /// Doubles the table until it is below 1/2 load (or at the ceiling);
-  /// returns the number of doublings. Requires quiesced writers.
-  unsigned grow() { return Table.grow(); }
-
-  /// Calls \p F(const std::string &Key) per stored key (bitstate
-  /// downgrade seeding). Requires quiesced writers.
-  template <typename Fn> void forEach(Fn F) const {
-    std::string Key;
-    Table.forEach([&](std::string_view Bytes) {
-      Key.assign(Bytes.data(), Bytes.size());
-      F(Key);
-    });
-  }
-
-  void save(BinWriter &W) const { Table.save(W); }
-  bool restore(BinReader &R) { return Table.restore(R); }
-
-private:
-  lf::StringTable Table;
-};
 
 /// Lock-free collapse-compressed visited set: the concurrent sibling of
 /// StateInterner, same component format (so the parallel and sequential

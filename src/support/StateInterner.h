@@ -56,7 +56,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,15 +63,6 @@
 #include <vector>
 
 namespace rocker {
-
-/// Process-wide default for ExploreOptions/ParExploreOptions::
-/// CompressVisited: on, unless the ROCKER_NO_COMPRESS environment
-/// variable is set (used by CI to run the whole test suite against the
-/// raw visited set).
-inline bool defaultCompressVisited() {
-  static const bool Off = std::getenv("ROCKER_NO_COMPRESS") != nullptr;
-  return !Off;
-}
 
 namespace detail {
 /// Probe callable for the serializeComponents concept check below.

@@ -82,7 +82,6 @@ ExploreResult collectStates(const Program &P, const MemSys &Mem,
     PE.CheckAssertions = false;
     PE.CollectProgramStates = true;
     PE.RecordTrace = false;
-    PE.CompressVisited = Opts.CompressVisited;
     PE.LockFreeLog2 = Opts.LockFreeLog2;
     PE.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
     PE.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
@@ -99,7 +98,6 @@ ExploreResult collectStates(const Program &P, const MemSys &Mem,
   EO.StopOnViolation = false;
   EO.CheckAssertions = false;
   EO.CollectProgramStates = true;
-  EO.CompressVisited = Opts.CompressVisited;
   EO.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
   EO.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
   ProductExplorer<MemSys> Ex(P, Mem, EO);

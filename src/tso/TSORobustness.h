@@ -42,9 +42,6 @@ struct TSOOptions {
   /// Worker threads for the two explorations; >1 selects the parallel
   /// engine (parexplore/ParallelExplorer.h), same verdicts and counts.
   unsigned Threads = 1;
-  /// Collapse-compressed visited sets for both explorations (exact; see
-  /// ExploreOptions::CompressVisited).
-  bool CompressVisited = defaultCompressVisited();
   /// Initial lock-free root-table log2 (see ParExploreOptions).
   unsigned LockFreeLog2 = 0;
   /// Ample-set partial-order reduction (explore/Por.h). Plumbed through

@@ -1,6 +1,7 @@
 //===- tests/CheckBatteryTest.cpp - Engines agree on the per-state checks ===//
 //
-// The sequential engine (BFS and DFS), the parallel engine and the sampler
+// The sequential engine, the parallel engine (at one worker, where its
+// owner-LIFO deque searches depth-first, and at four) and the sampler
 // run one check battery (explore/Expand.h): assertions, the access hook,
 // and the Definition 6.1 race scan. On each program below every engine
 // must reach the same verdict and report the same violation kind and
@@ -34,6 +35,8 @@ using namespace rocker;
 
 namespace {
 
+/// SeqBfs is the sequential (breadth-first) engine; SeqDfs is one
+/// depth-first worker, the parallel engine at one worker; Par4 is four.
 enum class Engine { SeqBfs, SeqDfs, Par4, Sample };
 
 struct Case {
@@ -108,18 +111,17 @@ std::string checkDetail(const Violation &V) {
 std::vector<Violation> runEngine(Engine E, const Program &P, bool Trace) {
   SCMemory Mem(P);
   switch (E) {
-  case Engine::SeqBfs:
-  case Engine::SeqDfs: {
+  case Engine::SeqBfs: {
     ExploreOptions O;
-    O.Order = E == Engine::SeqBfs ? SearchOrder::BFS : SearchOrder::DFS;
     O.CheckRaces = true;
     O.RecordParents = Trace;
     O.UsePor = true;
     return ProductExplorer<SCMemory>(P, Mem, O).run().Violations;
   }
+  case Engine::SeqDfs:
   case Engine::Par4: {
     ParExploreOptions O;
-    O.Threads = 4;
+    O.Threads = E == Engine::SeqDfs ? 1 : 4;
     O.CheckRaces = true;
     O.RecordTrace = Trace;
     O.ReplayOnViolation = false;

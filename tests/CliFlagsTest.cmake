@@ -35,8 +35,10 @@ expect_usage(${ROCKER_CLI} --sample-seed 0x10 SB)
 expect_usage(${ROCKER_CLI} --progress=abc SB)
 expect_usage(${ROCKER_CLI} --jobs 2x --batch nothing.json)
 expect_usage(${CMAKE_COMMAND} -E env ROCKER_PROGRESS=abc ${ROCKER_CLI} SB)
-# --visited is not an option.
+# --visited is not an option, nor is --no-compress: each engine has one
+# visited set.
 expect_usage(${ROCKER_CLI} --visited=striped SB)
+expect_usage(${ROCKER_CLI} --no-compress SB)
 
 # fig7_table: the driver's numbers and configuration names; the
 # sampling knobs are fixed by the sample-* configurations now.
@@ -46,6 +48,7 @@ expect_usage(${FIG7} --reps 0)
 expect_usage(${FIG7} --configs threads-2x)
 expect_usage(${FIG7} --configs threads-1)
 expect_usage(${FIG7} --configs base,nope)
+expect_usage(${FIG7} --configs raw)
 expect_usage(${FIG7} --trace t.json)
 expect_usage(${FIG7} --samples 12x)
 

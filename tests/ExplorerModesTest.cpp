@@ -1,4 +1,4 @@
-//===- tests/ExplorerModesTest.cpp - DFS order and bitstate hashing ---------===//
+//===- tests/ExplorerModesTest.cpp - Bitstate hashing ---------------------===//
 
 #include "litmus/Corpus.h"
 #include "rocker/RobustnessChecker.h"
@@ -6,33 +6,6 @@
 #include <gtest/gtest.h>
 
 using namespace rocker;
-
-TEST(DfsOrder, SameVerdictsAsBfsOnLitmus) {
-  for (const CorpusEntry &E : litmusTests()) {
-    Program P = E.parse();
-    RockerOptions Bfs;
-    Bfs.RecordTrace = false;
-    RockerOptions Dfs = Bfs;
-    Dfs.Order = SearchOrder::DFS;
-    RockerReport RB = checkRobustness(P, Bfs);
-    RockerReport RD = checkRobustness(P, Dfs);
-    EXPECT_EQ(RB.Robust, RD.Robust) << E.Name;
-    // For robust programs both searches are exhaustive, so they agree on
-    // the state count (non-robust runs stop at their first violation,
-    // which DFS reaches through a different prefix).
-    if (RB.Robust)
-      EXPECT_EQ(RB.Stats.NumStates, RD.Stats.NumStates) << E.Name;
-  }
-}
-
-TEST(DfsOrder, TraceStillReconstructs) {
-  Program P = findCorpusEntry("SB").parse();
-  RockerOptions O;
-  O.Order = SearchOrder::DFS;
-  RockerReport R = checkRobustness(P, O);
-  ASSERT_FALSE(R.Robust);
-  EXPECT_NE(R.FirstViolationText.find("trace"), std::string::npos);
-}
 
 TEST(Bitstate, FindsRealViolations) {
   // Violations found under bitstate hashing are always real.

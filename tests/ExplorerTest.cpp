@@ -136,7 +136,7 @@ thread b
   EXPECT_EQ(R2.Violations.size(), 1u);
 }
 
-TEST(KeyFrontier, QueueAndStackOrderAcrossBlocks) {
+TEST(KeyFrontier, QueueOrderAcrossBlocks) {
   // Keys of every length up to past a block, so entries straddle block
   // ends and some need a block of their own.
   auto KeyOf = [](uint64_t I) {
@@ -146,37 +146,35 @@ TEST(KeyFrontier, QueueAndStackOrderAcrossBlocks) {
   const uint64_t N = 200;
   KeyFrontier F;
   for (uint64_t I = 0; I != N; ++I)
-    F.push(I, KeyOf(I));
+    F.push(KeyOf(I));
   EXPECT_EQ(F.size(), N);
   uint64_t Seen = 0;
-  F.forEach([&](const KeyFrontier::Entry &E) {
-    EXPECT_EQ(E.Id, Seen);
-    EXPECT_EQ(E.Key, KeyOf(Seen));
+  F.forEach([&](std::string_view Key) {
+    EXPECT_EQ(Key, KeyOf(Seen));
     ++Seen;
   });
   EXPECT_EQ(Seen, N);
 
-  // Pop half from the front (BFS) and half from the back (DFS).
+  // Pop half, push more behind the rest: first in, first out throughout.
   for (uint64_t I = 0; I != N / 2; ++I) {
-    KeyFrontier::Entry E = F.front();
-    ASSERT_EQ(E.Id, I);
-    ASSERT_EQ(E.Key, KeyOf(I));
+    ASSERT_EQ(F.front(), KeyOf(I));
     F.popFront();
   }
-  for (uint64_t I = N; I-- != N / 2;) {
-    KeyFrontier::Entry E = F.back();
-    ASSERT_EQ(E.Id, I);
-    ASSERT_EQ(E.Key, KeyOf(I));
-    F.popBack();
+  for (uint64_t I = N; I != N + N / 2; ++I)
+    F.push(KeyOf(I));
+  for (uint64_t I = N / 2; I != N + N / 2; ++I) {
+    ASSERT_EQ(F.front(), KeyOf(I));
+    F.popFront();
   }
   EXPECT_TRUE(F.empty());
 
-  // A drained frontier takes new entries, LIFO as well as FIFO.
-  F.push(7, "x");
-  F.push(8, "");
-  EXPECT_EQ(F.back().Id, 8u);
-  EXPECT_EQ(F.back().Key, "");
-  F.popBack();
-  EXPECT_EQ(F.front().Key, "x");
+  // A drained frontier takes new entries, empty keys included.
+  F.push("x");
+  F.push("");
+  EXPECT_EQ(F.front(), "x");
+  F.popFront();
+  EXPECT_EQ(F.front(), "");
+  F.popFront();
+  EXPECT_TRUE(F.empty());
   EXPECT_EQ(KeyFrontier::entryBytes(5), 5 + KeyFrontier::EntryOverhead);
 }

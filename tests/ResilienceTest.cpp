@@ -297,43 +297,6 @@ TEST(Resilience, TruncateResumeMatchesUninterruptedParallel1) {
   }
 }
 
-// DFS pops the key frontier from the back, and its checkpoint carries each
-// entry's id. Cuts across the whole run, under both visited sets that hold
-// exact keys, must resume to the uninterrupted counts.
-TEST(Resilience, TruncateResumeMatchesUninterruptedSequentialDfs) {
-  Program P = findCorpusEntry("lamport2-ra").parse();
-  SCMonitor Mem(P, /*Abstract=*/true);
-  for (bool Compress : {true, false}) {
-    ExploreOptions Base;
-    Base.Order = SearchOrder::DFS;
-    Base.CompressVisited = Compress;
-    Base.RecordParents = false;
-    ExploreResult Ref = ProductExplorer<SCMonitor>(P, Mem, Base).run();
-    ASSERT_FALSE(Ref.Stats.Truncated);
-    uint64_t N = Ref.Stats.NumStates;
-    for (uint64_t Cut = 5; Cut < N; Cut += N / 5) {
-      std::string What = "compress=" + std::to_string(Compress) +
-                         " cut=" + std::to_string(Cut);
-      ScopedFile Ckpt(tmpPath("trunc-dfs-" + std::to_string(Cut)));
-      ExploreOptions Mid = Base;
-      Mid.MaxStates = Cut;
-      Mid.Resilience.CheckpointPath = Ckpt.Path;
-      ASSERT_TRUE(
-          ProductExplorer<SCMonitor>(P, Mem, Mid).run().Stats.Truncated)
-          << What;
-      ExploreOptions Fin = Base;
-      Fin.Resilience.ResumePath = Ckpt.Path;
-      ExploreResult R = ProductExplorer<SCMonitor>(P, Mem, Fin).run();
-      ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
-          << What << ": " << R.Stats.Resilience.ResumeError;
-      EXPECT_EQ(R.Stats.NumStates, N) << What;
-      EXPECT_EQ(R.Stats.NumTransitions, Ref.Stats.NumTransitions) << What;
-      EXPECT_EQ(R.Stats.NumDeadlockStates, Ref.Stats.NumDeadlockStates)
-          << What;
-    }
-  }
-}
-
 TEST(Resilience, ResumePreservesViolationsAcrossTheCut) {
   // Full sweep of a non-robust program: violations recorded before the
   // cut travel through the checkpoint, ones after the cut are found by
@@ -652,10 +615,9 @@ TEST(Resilience, OutOfRangeBitstateOptionIsRefused) {
 namespace {
 
 /// The options tests/fixtures/lamport2-sc-mid.rkcp was written under,
-/// pinned against the ROCKER_NO_COMPRESS / ROCKER_NO_POR test passes.
+/// pinned against the ROCKER_NO_POR test pass.
 RockerOptions fixtureOpts() {
   RockerOptions O = baseOpts(1);
-  O.CompressVisited = true;
   O.UsePor = true;
   O.StopOnViolation = false;
   O.RecordTrace = true;
@@ -715,29 +677,72 @@ TEST(Resilience, CommittedSequentialCheckpointResumes) {
 }
 
 TEST(Resilience, StateCountBeyondPayloadIsRejected) {
-  // A DFS run with traces stores one trace edge per state, so the state
+  // A run with traces stores one trace edge per state, so the state
   // count bounds the edge table it restores: a count the payload cannot
-  // hold must be refused before anything is sized by it.
+  // hold must be refused before anything is sized by it. The frontier
+  // holds the states [Cursor, N), so Cursor moves with N: the frontier
+  // still has its shape and only the count is wrong.
   Program P = findCorpusEntry("dekker-sc").parse();
   ScopedFile Ckpt(tmpPath("bad-count"));
   RockerOptions Opts = baseOpts(1);
   Opts.StopOnViolation = false;
-  Opts.Order = SearchOrder::DFS;
   RockerOptions Mid = Opts;
   Mid.MaxStates = 40;
   Mid.Resilience.CheckpointPath = Ckpt.Path;
   ASSERT_FALSE(checkRobustness(P, Mid).Complete);
-  // The state count follows the engine, rung, order and trace bytes.
+  // The state count and the cursor follow the engine, rung, order and
+  // trace bytes.
   std::string Data = readFile(Ckpt.Path);
-  ASSERT_GT(Data.size(), CkptHeaderBytes + 12);
+  ASSERT_GT(Data.size(), CkptHeaderBytes + 20);
+  uint64_t OldN = 0, OldCursor = 0;
+  std::memcpy(&OldN, &Data[CkptHeaderBytes + 4], sizeof(OldN));
+  std::memcpy(&OldCursor, &Data[CkptHeaderBytes + 12], sizeof(OldCursor));
+  ASSERT_LT(OldCursor, OldN) << "the cut should leave a frontier";
   const uint64_t N = uint64_t{1} << 60;
+  const uint64_t Cursor = N - (OldN - OldCursor);
   std::memcpy(&Data[CkptHeaderBytes + 4], &N, sizeof(N));
+  std::memcpy(&Data[CkptHeaderBytes + 12], &Cursor, sizeof(Cursor));
   writeRehashed(Ckpt.Path, Data);
   RockerOptions RO = Opts;
   RO.Resilience.ResumePath = Ckpt.Path;
   RockerReport R = checkRobustness(P, RO);
   EXPECT_EQ(R.Stats.Resilience.ResumeError, "corrupt checkpoint: state count");
   EXPECT_FALSE(R.Complete);
+}
+
+TEST(Resilience, RetiredSequentialFormatsAreRejected) {
+  // Depth-first checkpoints (order byte 1) and raw-key visited sets
+  // (visited-set tag 1) are formats the sequential engine no longer
+  // writes. A checkpoint carrying either must be refused with its own
+  // error, not decoded as the current format.
+  Program P = findCorpusEntry("peterson-ra").parse();
+  ScopedFile Ckpt(tmpPath("retired-seq"));
+  RockerOptions Mid = baseOpts(1);
+  Mid.MaxStates = 40;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  const std::string Good = readFile(Ckpt.Path);
+  // Engine, rung, order and trace bytes; twelve u64 counters; an empty
+  // downgrade list; three checkpoint totals; the bitstate width; an
+  // empty violation list; then the visited-set tag.
+  const size_t OrderAt = CkptHeaderBytes + 2;
+  const size_t TagAt = CkptHeaderBytes + 4 + 12 * 8 + 1 + 3 * 8 + 1 + 1;
+  ASSERT_GT(Good.size(), TagAt);
+  ASSERT_EQ(Good[OrderAt], 0) << "the payload layout moved the order";
+  ASSERT_EQ(Good[TagAt], 0) << "the payload layout moved the tag";
+  for (auto [At, Error] : {std::pair{OrderAt, retiredSearchOrderError()},
+                           std::pair{TagAt, retiredRawVisitedError()}}) {
+    std::string Old = Good;
+    Old[At] = 1;
+    writeRehashed(Ckpt.Path, Old);
+    RockerOptions RO = baseOpts(1);
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError, Error);
+    EXPECT_FALSE(R.Stats.Resilience.Resumed);
+    EXPECT_FALSE(R.Complete);
+    EXPECT_EQ(R.Stats.NumStates, 0u);
+  }
 }
 
 TEST(Resilience, CorruptCheckpointIsRejected) {

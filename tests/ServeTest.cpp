@@ -88,6 +88,15 @@ TEST(CacheKey, StableFormat) {
   // Deterministic across calls (and, by construction, across runs: the
   // key hashes a canonical string, never pointers or timestamps).
   EXPECT_EQ(Key, serve::cacheKey(P, "robustness", RockerOptions()));
+  // And across versions: the format is append-only, so a stored entry
+  // stays reachable. This is SB's key under the default options as
+  // computed before the search order and visited-set compression
+  // stopped being options (their terms are now fixed). POR is pinned on
+  // against the ROCKER_NO_POR test pass.
+  RockerOptions O;
+  O.UsePor = true;
+  EXPECT_EQ(serve::cacheKey(P, "robustness", O),
+            "78a98ff817a782bfa9d8d1c1315b244b");
 }
 
 TEST(CacheKey, InsensitiveToWallClockAndObservabilityKnobs) {
@@ -172,17 +181,8 @@ TEST(CacheKey, SensitiveToVerdictRelevantOptions) {
   EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "por";
 
   O = RockerOptions();
-  O.Order = O.Order == SearchOrder::BFS ? SearchOrder::DFS
-                                        : SearchOrder::BFS;
-  EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "order";
-
-  O = RockerOptions();
   O.CollapseLocalSteps = !O.CollapseLocalSteps;
   EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "collapse";
-
-  O = RockerOptions();
-  O.CompressVisited = !O.CompressVisited;
-  EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "compress";
 
   O = RockerOptions();
   O.UseSampling = true;
@@ -541,6 +541,20 @@ TEST(ServeBatch, ManifestRejectsBadInput) {
                    &Err)
                    .has_value());
   EXPECT_NE(Err.find("max_state"), std::string::npos) << Err;
+
+  // So are the keys of retired options: the search order and the
+  // visited-set compression are no longer settable.
+  for (auto [Key, Value] : {std::pair{"order", "\"dfs\""},
+                             std::pair{"compress_visited", "false"}}) {
+    EXPECT_FALSE(serve::parseBatchManifest(
+                     std::string(R"({"schema":"rocker-batch-manifest/1",
+                       "jobs":[{"program":"SB",")") +
+                         Key + "\":" + Value + "}]}",
+                     &Err)
+                     .has_value())
+        << Key;
+    EXPECT_NE(Err.find(Key), std::string::npos) << Err;
+  }
 
   // A job needs exactly one of program/file.
   EXPECT_FALSE(serve::parseBatchManifest(

@@ -11,11 +11,35 @@
 
 #include "explore/Explorer.h"
 #include "lang/Program.h"
+#include "litmus/Corpus.h"
 
 #include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace rocker::test {
+
+/// Names of every corpus program except the Figure 7 entries that
+/// explore more than 100k states (covered once each in Fig7Test), so
+/// corpus-wide sweeps stay fast.
+inline std::vector<std::string> lightCorpusPrograms() {
+  auto IsHeavy = [](const std::string &Name) {
+    return Name == "seqlock" || Name == "nbw-w-lr-rl" || Name == "rcu" ||
+           Name == "rcu-offline" || Name == "lamport2-3-ra";
+  };
+  std::vector<std::string> Names;
+  for (const CorpusEntry &E : litmusTests())
+    Names.push_back(E.Name);
+  for (const CorpusEntry &E : extraLitmusTests())
+    Names.push_back(E.Name);
+  for (const CorpusEntry &E : morePrograms())
+    Names.push_back(E.Name);
+  for (const CorpusEntry &E : figure7Programs())
+    if (!IsHeavy(E.Name))
+      Names.push_back(E.Name);
+  return Names;
+}
 
 /// Runs a sequential exploration and calls \p Visit once on every stored
 /// (reachable) product state, through the engine's state hook.
