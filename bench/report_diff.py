@@ -68,7 +68,11 @@ FIELDS = (
 )
 # The parallel engine's visited bytes differ by a few KiB between runs
 # with identical counts, so on its rows they are a size (warned on when
-# they grow), not an identity.
+# they grow), not an identity. Its interner keeps the tree nodes of every
+# position in one table while component ids are per slot, so an equal
+# (left, right) id pair at two positions is one 8-byte node; how many
+# pairs coincide depends on the order in which workers claim ids (lost
+# CAS races included). docs/ALGORITHM.md section 9 has the measurement.
 PARALLEL_SIZE = "stats.visited_bytes"
 MIN_SECONDS = 0.01  # shorter runs measure the timer, not the engine.
 

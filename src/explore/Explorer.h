@@ -30,11 +30,12 @@
 ///
 /// State payloads live only in the frontier, a FIFO queue, and are
 /// dropped once expanded: after that a state exists only as its
-/// visited-set entry and, with RecordParents, a fixed-size trace edge from
-/// which the step text is rendered when a trace is printed. For
-/// subsystems whose key decodes (HasStateCodec: SCM, SC) a frontier entry
-/// is the state's key, the bytes the visited probe built, and is decoded
-/// into one reused ProductState when popped (explore/KeyFrontier.h);
+/// visited-set entry and, with RecordParents, a fixed-size trace edge
+/// (ParentEdge, 12 bytes) from which the step text is rendered when a
+/// trace is printed. For subsystems whose key decodes (HasStateCodec:
+/// SCM, SC) a frontier entry is the state's key, the bytes the visited
+/// probe built, and is decoded into one reused ProductState when popped
+/// (explore/KeyFrontier.h, whose blocks are unmapped as they drain);
 /// checkpoints write those keys verbatim. Other subsystems keep
 /// ProductStates in the frontier.
 ///
@@ -45,6 +46,7 @@
 
 #include "explore/Expand.h"
 #include "explore/KeyFrontier.h"
+#include "lang/Label.h"
 #include "lang/Printer.h"
 #include "lang/Program.h"
 #include "lang/Step.h"
@@ -59,6 +61,7 @@
 #include "support/StateKey.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -77,6 +80,89 @@ struct TraceStep {
   Label L;        ///< Valid when IsAccess.
   std::string Text;
 };
+
+/// One trace edge of the sequential engine: the state a state was
+/// discovered from, and enough of the step to re-render its text when a
+/// trace is printed. The engine keeps one edge per stored state, so an
+/// edge is packed into 12 bytes (24 as plain fields):
+///
+///   ParentLo u32 | Payload u32 | Collapsed u16 | ParentHi u8 | Bits u8
+///
+/// The parent id has 40 bits (ParentHi:ParentLo); a run would need 12 TiB
+/// of edges to pass it. Bits holds the thread (4 bits; MaxThreads is 16)
+/// and the Internal, IsAccess and IsNA flags. Payload holds FromPc on a
+/// local step and the label's Type, Loc, ValR and ValW bytes on an access.
+/// The expansion core leaves the other one zero (ExpandStep), and so does
+/// every edge this class can represent (representable()).
+class ParentEdge {
+public:
+  /// The edge's fields, unpacked.
+  struct Fields {
+    uint64_t Parent = 0;
+    uint32_t FromPc = 0;    ///< Local steps: pc of the first ε-instruction.
+    uint16_t Collapsed = 0; ///< Local steps: ε-instructions folded in.
+    ThreadId Thread = 0;
+    bool Internal = false;
+    bool IsAccess = false;
+    Label L{};
+  };
+
+  static constexpr uint64_t MaxParent = (uint64_t{1} << 40) - 1;
+
+  /// True when \p F survives packing: the parent and thread fit, and the
+  /// half of the payload a step does not use is zero.
+  static bool representable(const Fields &F) {
+    bool LabelZero = F.L.Type == AccessType{} && F.L.Loc == 0 &&
+                     F.L.ValR == 0 && F.L.ValW == 0;
+    return F.Parent <= MaxParent && F.Thread < MaxThreads &&
+           (F.IsAccess ? F.FromPc == 0 : LabelZero);
+  }
+
+  ParentEdge() = default;
+  explicit ParentEdge(const Fields &F)
+      : ParentLo(static_cast<uint32_t>(F.Parent)),
+        Payload(F.IsAccess ? static_cast<uint32_t>(F.L.Type) |
+                                 uint32_t{F.L.Loc} << 8 |
+                                 uint32_t{F.L.ValR} << 16 |
+                                 uint32_t{F.L.ValW} << 24
+                           : F.FromPc),
+        Collapsed(F.Collapsed), ParentHi(static_cast<uint8_t>(F.Parent >> 32)),
+        Bits(static_cast<uint8_t>(F.Thread | (F.Internal ? InternalBit : 0) |
+                                  (F.IsAccess ? AccessBit : 0) |
+                                  (F.L.IsNA ? NABit : 0))) {
+    assert(representable(F) && "trace edge does not fit its packing");
+  }
+
+  Fields fields() const {
+    Fields F;
+    F.Parent = uint64_t{ParentHi} << 32 | ParentLo;
+    F.Collapsed = Collapsed;
+    F.Thread = static_cast<ThreadId>(Bits & ThreadMask);
+    F.Internal = (Bits & InternalBit) != 0;
+    F.IsAccess = (Bits & AccessBit) != 0;
+    F.L.IsNA = (Bits & NABit) != 0;
+    if (F.IsAccess) {
+      F.L.Type = static_cast<AccessType>(Payload & 0xff);
+      F.L.Loc = static_cast<LocId>(Payload >> 8);
+      F.L.ValR = static_cast<Val>(Payload >> 16);
+      F.L.ValW = static_cast<Val>(Payload >> 24);
+    } else {
+      F.FromPc = Payload;
+    }
+    return F;
+  }
+
+private:
+  static constexpr uint8_t ThreadMask = 0x0f, InternalBit = 0x10,
+                           AccessBit = 0x20, NABit = 0x40;
+
+  uint32_t ParentLo = 0;
+  uint32_t Payload = 0;
+  uint16_t Collapsed = 0;
+  uint8_t ParentHi = 0;
+  uint8_t Bits = 0;
+};
+static_assert(sizeof(ParentEdge) == 12, "trace edges are 12 bytes");
 
 /// Exploration statistics.
 struct ExploreStats {
@@ -465,7 +551,7 @@ public:
       return Steps;
     uint64_t Id = V.StateId;
     while (Id != 0) {
-      const ParentEdge &E = Parents[Id];
+      ParentEdge::Fields E = Parents[Id].fields();
       Steps.push_back(TraceStep{E.Thread, E.Internal, E.IsAccess, E.L,
                                 edgeText(E)});
       Id = E.Parent;
@@ -482,19 +568,8 @@ public:
   uint64_t frontierSize() const { return Frontier.size(); }
 
 private:
-  /// One trace edge: enough to re-render the step's text on demand.
-  struct ParentEdge {
-    uint64_t Parent = 0;
-    uint32_t FromPc = 0;    ///< Local steps: pc of the first ε-instruction.
-    uint16_t Collapsed = 0; ///< Local steps: ε-instructions folded in.
-    ThreadId Thread = 0;
-    bool Internal = false;
-    bool IsAccess = false;
-    Label L{};
-  };
-
   /// The step text formatViolation prints for \p E.
-  std::string edgeText(const ParentEdge &E) const {
+  std::string edgeText(const ParentEdge::Fields &E) const {
     if (E.Internal)
       return "flush";
     if (E.IsAccess)
@@ -608,11 +683,11 @@ private:
   /// interned (ids are discovery indices; the root has no edge). A step
   /// from the newest state back to itself is a dedup hit, not a
   /// discovery: its edge would make trace() loop.
-  void link(uint64_t Child, const ParentEdge &E) {
+  void link(uint64_t Child, const ParentEdge::Fields &E) {
     if (Child == NoId || !Opts.RecordParents || Child != NumStored - 1 ||
         Child == 0 || Child == E.Parent)
       return;
-    Parents[Child] = E;
+    Parents[Child] = ParentEdge(E);
   }
 
   /// Violation sink for the expansion core: violations found while
@@ -640,13 +715,13 @@ private:
       link(intern(Core.fastForward(std::move(Next), Scratch, Hook, Report,
                                    Hop),
                   Res, SHook),
-           ParentEdge{.Parent = Id,
-                      .FromPc = E.FromPc,
-                      .Collapsed = E.Collapsed,
-                      .Thread = E.Thread,
-                      .Internal = E.Internal,
-                      .IsAccess = E.A != nullptr,
-                      .L = E.L});
+           ParentEdge::Fields{.Parent = Id,
+                              .FromPc = E.FromPc,
+                              .Collapsed = E.Collapsed,
+                              .Thread = E.Thread,
+                              .Internal = E.Internal,
+                              .IsAccess = E.A != nullptr,
+                              .L = E.L});
     };
     if (Core.expand(S, Scratch, Hook, Report, AnyViolation, Emit))
       ++Res.Stats.NumDeadlockStates;
@@ -868,7 +943,8 @@ private:
       W.u64(Frontier.size());
       Frontier.forEach([&](std::string_view Key) { W.str(Key); });
       if (Opts.RecordParents)
-        for (const ParentEdge &E : Parents) {
+        for (const ParentEdge &PE : Parents) {
+          ParentEdge::Fields E = PE.fields();
           W.varu64(E.Parent);
           W.u8(E.Thread);
           W.u8((E.Internal ? 1 : 0) | (E.IsAccess ? 2 : 0));
@@ -1031,7 +1107,7 @@ private:
         Parents.clear();
         Parents.reserve(N);
         for (uint64_t I = 0; I != N && !R.fail(); ++I) {
-          ParentEdge E;
+          ParentEdge::Fields E;
           E.Parent = R.varu64();
           E.Thread = R.u8();
           uint8_t Flags = R.u8();
@@ -1045,15 +1121,18 @@ private:
           E.FromPc = static_cast<uint32_t>(R.varu64());
           E.Collapsed = static_cast<uint16_t>(R.varu64());
           // trace() indexes with these fields: edges point to earlier
-          // states, and local steps name a real instruction.
-          if (!R.fail() && I != 0 &&
-              (E.Parent >= I || E.Thread >= P.numThreads() ||
-               (!E.Internal && !E.IsAccess &&
-                E.FromPc >= P.Threads[E.Thread].Insts.size()))) {
+          // states, and local steps name a real instruction. The engine
+          // writes only edges the packing represents.
+          if (!R.fail() &&
+              (!ParentEdge::representable(E) ||
+               (I != 0 &&
+                (E.Parent >= I || E.Thread >= P.numThreads() ||
+                 (!E.Internal && !E.IsAccess &&
+                  E.FromPc >= P.Threads[E.Thread].Insts.size()))))) {
             RR.ResumeError = "corrupt checkpoint: trace edge";
             return false;
           }
-          Parents.push_back(E);
+          Parents.push_back(ParentEdge(E));
         }
         for (const Violation &V : Violations)
           if (V.StateId >= N) {

@@ -4,10 +4,11 @@
 /// The page allocator both visited tiers share, and the growable array the
 /// sequential engine keeps its per-state stores in.
 ///
+///  * mapZeroed / unmapZeroed — a zero-filled anonymous mapping of any
+///    size, optionally with transparent huge pages requested, whose pages
+///    go back to the kernel the moment it is unmapped.
 ///  * zeroedAlloc / zeroedFree — a zero-filled block whose untouched pages
-///    stay unmapped. From HugeBlockBytes up a block is its own anonymous
-///    mapping, optionally with transparent huge pages requested, and its
-///    pages go back to the kernel the moment it is freed.
+///    stay unmapped: a mapping from HugeBlockBytes up, calloc below.
 ///  * PageArray<T> — a std::vector-like array of trivially copyable
 ///    elements. Below HugeBlockBytes it lives on malloc, so small
 ///    verdicts make no system calls. From there up it is an anonymous
@@ -25,7 +26,8 @@
 /// a process runs (large-seq's four passes: 64 MB after one, 89 MB after
 /// four). Mappings that are unmapped on free leave no holes.
 ///
-/// Off Linux, zeroedAlloc is calloc and PageArray grows with realloc.
+/// Off Linux, mapZeroed and zeroedAlloc are calloc and PageArray grows
+/// with realloc.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,26 +51,53 @@ namespace rocker {
 /// Blocks from this size up are mapped directly (see zeroedAlloc).
 inline constexpr size_t HugeBlockBytes = size_t{2} << 20;
 
+/// A zero-filled anonymous mapping of \p Bytes: its pages are faulted in
+/// as they are written and go back to the kernel the moment it is
+/// unmapped. \p HugePages requests transparent huge pages for it. This is
+/// the allocator's one mmap call; zeroedAlloc uses it from HugeBlockBytes
+/// up, and the sequential frontier maps its 64 KiB blocks with it
+/// (explore/KeyFrontier.h) so that drained blocks leave no free heap
+/// behind. Free with unmapZeroed and the same size.
+inline void *mapZeroed(size_t Bytes, bool HugePages) {
+#ifdef __linux__
+  void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  if (HugePages)
+    ::madvise(P, Bytes, MADV_HUGEPAGE); // Advisory: failure is harmless.
+  return P;
+#else
+  (void)HugePages;
+  void *P = std::calloc(1, Bytes);
+  if (!P)
+    throw std::bad_alloc();
+  return P;
+#endif
+}
+
+inline void unmapZeroed(void *P, size_t Bytes) {
+#ifdef __linux__
+  ::munmap(P, Bytes);
+#else
+  (void)Bytes;
+  std::free(P);
+#endif
+}
+
 /// Zero-filled block whose untouched pages stay unmapped, so RSS grows
 /// only with what is written (a value-initializing new[] or vector would
 /// memset, and fault, the whole block up front). On Linux, blocks of
-/// HugeBlockBytes and more are mmap'd; \p HugePages requests transparent
-/// huge pages for them, which suits a hash table: probing touches every
-/// page anyway, and huge pages cut the faults of a rebuild and the TLB
-/// misses of every probe. Blocks that fill front to back or are touched
-/// sparsely should not ask, since a partly used huge page is resident in
-/// full. Free with zeroedFree and the same size.
+/// HugeBlockBytes and more are mapped (mapZeroed); \p HugePages requests
+/// transparent huge pages for them, which suits a hash table: probing
+/// touches every page anyway, and huge pages cut the faults of a rebuild
+/// and the TLB misses of every probe. Blocks that fill front to back or
+/// are touched sparsely should not ask, since a partly used huge page is
+/// resident in full. Free with zeroedFree and the same size.
 inline void *zeroedAlloc(size_t Bytes, bool HugePages) {
 #ifdef __linux__
-  if (Bytes >= HugeBlockBytes) {
-    void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (P == MAP_FAILED)
-      throw std::bad_alloc();
-    if (HugePages)
-      ::madvise(P, Bytes, MADV_HUGEPAGE); // Advisory: failure is harmless.
-    return P;
-  }
+  if (Bytes >= HugeBlockBytes)
+    return mapZeroed(Bytes, HugePages);
 #else
   (void)HugePages;
 #endif
@@ -81,7 +110,7 @@ inline void *zeroedAlloc(size_t Bytes, bool HugePages) {
 inline void zeroedFree(void *P, size_t Bytes) {
 #ifdef __linux__
   if (Bytes >= HugeBlockBytes) {
-    ::munmap(P, Bytes);
+    unmapZeroed(P, Bytes);
     return;
   }
 #endif

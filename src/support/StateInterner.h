@@ -150,9 +150,9 @@ void serializeMemComponents(const MemSys &M,
 /// Estimated heap bytes of one entry of an unordered container keyed by a
 /// std::string: node header (next pointer + cached hash), one bucket
 /// slot, the string object, its heap buffer when beyond the 15-byte SSO
-/// capacity, and \p MappedBytes of mapped value. Used so raw and
-/// compressed visited-set sizes are compared on actual memory footprint,
-/// not payload bytes alone.
+/// capacity, and \p MappedBytes of mapped value. No set of full keys
+/// exists any more; this only feeds VisitedRawBytes, the estimate of
+/// what one would hold, from which the compression ratio is reported.
 inline uint64_t stringNodeBytes(size_t KeyLen, size_t MappedBytes) {
   uint64_t B = 16 + 8 + sizeof(std::string) + MappedBytes;
   if (KeyLen > 15)

@@ -178,3 +178,83 @@ TEST(KeyFrontier, QueueOrderAcrossBlocks) {
   EXPECT_TRUE(F.empty());
   EXPECT_EQ(KeyFrontier::entryBytes(5), 5 + KeyFrontier::EntryOverhead);
 }
+
+TEST(KeyFrontier, DrainedBlocksAreReleased) {
+  // Keys across about ten blocks, then one key longer than a block,
+  // which drains last.
+  const uint64_t N = 600;
+  auto KeyOf = [](uint64_t I) {
+    size_t Len = I == N - 1 ? KeyFrontier::BlockBytes * 2 : 1000 + I % 300;
+    return std::string(Len, static_cast<char>('a' + I % 26));
+  };
+  KeyFrontier F;
+  EXPECT_EQ(F.heldBytes(), 0u);
+  for (uint64_t I = 0; I != N; ++I)
+    F.push(KeyOf(I));
+  EXPECT_GE(F.heldBytes(), 10 * KeyFrontier::BlockBytes);
+  for (uint64_t I = 0; I != N; ++I) {
+    ASSERT_EQ(F.front(), KeyOf(I));
+    F.popFront();
+    // Drained blocks are unmapped as they go: beyond the live entries
+    // only the front and back blocks' unused ends, the spare, and the
+    // tails too short for the next key stay held.
+    uint64_t Live = 0;
+    F.forEach([&](std::string_view Key) {
+      Live += KeyFrontier::entryBytes(Key.size());
+    });
+    ASSERT_LE(F.heldBytes(), Live + 4 * KeyFrontier::BlockBytes);
+  }
+  // The oversized block is unmapped, not kept as the spare.
+  EXPECT_TRUE(F.empty());
+  EXPECT_EQ(F.heldBytes(), KeyFrontier::BlockBytes);
+
+  // The spare serves the next block; nothing more is mapped.
+  F.push(KeyOf(1));
+  EXPECT_EQ(F.heldBytes(), KeyFrontier::BlockBytes);
+  EXPECT_EQ(F.front(), KeyOf(1));
+}
+
+// Every field of a packed trace edge survives at its extremes.
+TEST(ParentEdge, FieldsRoundTripAtTheirExtremes) {
+  auto RoundTrip = [](const ParentEdge::Fields &F) {
+    ASSERT_TRUE(ParentEdge::representable(F));
+    ParentEdge::Fields G = ParentEdge(F).fields();
+    EXPECT_EQ(G.Parent, F.Parent);
+    EXPECT_EQ(G.FromPc, F.FromPc);
+    EXPECT_EQ(G.Collapsed, F.Collapsed);
+    EXPECT_EQ(G.Thread, F.Thread);
+    EXPECT_EQ(G.Internal, F.Internal);
+    EXPECT_EQ(G.IsAccess, F.IsAccess);
+    EXPECT_TRUE(G.L == F.L);
+  };
+  static_assert(sizeof(ParentEdge) == 12);
+  for (uint64_t Parent : {uint64_t{0}, (uint64_t{1} << 32) - 1,
+                          (uint64_t{1} << 32) + 5, ParentEdge::MaxParent}) {
+    // A local step.
+    RoundTrip({.Parent = Parent,
+               .FromPc = UINT32_MAX,
+               .Collapsed = UINT16_MAX,
+               .Thread = MaxThreads - 1});
+    // An access of every type, and a non-atomic one.
+    for (AccessType T : {AccessType::R, AccessType::W, AccessType::RMW})
+      RoundTrip({.Parent = Parent,
+                 .Thread = MaxThreads - 1,
+                 .IsAccess = true,
+                 .L = Label{T, 63, 63, 63, false}});
+    RoundTrip({.Parent = Parent,
+               .Thread = 3,
+               .IsAccess = true,
+               .L = Label::write(63, 63, /*NA=*/true)});
+    // A memory-internal step (a TSO flush).
+    RoundTrip({.Parent = Parent, .Thread = MaxThreads - 1, .Internal = true});
+  }
+  RoundTrip({});
+
+  // What the packing cannot hold is refused rather than truncated.
+  EXPECT_FALSE(
+      ParentEdge::representable({.Parent = ParentEdge::MaxParent + 1}));
+  EXPECT_FALSE(ParentEdge::representable({.Thread = MaxThreads}));
+  EXPECT_FALSE(ParentEdge::representable(
+      {.FromPc = 1, .IsAccess = true, .L = Label::read(0, 1)}));
+  EXPECT_FALSE(ParentEdge::representable({.L = Label::read(2, 0)}));
+}

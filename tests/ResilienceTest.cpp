@@ -39,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -538,7 +539,8 @@ TEST(Resilience, OutOfRangeTraceEdgeIsRejected) {
 
   std::string Data = readFile(Ckpt.Path);
   ASSERT_GT(Data.size(), CkptHeaderBytes + 9);
-  Data[Data.size() - 8] = 0;   // Flags: a local step...
+  Data[Data.size() - 8] = 0; // Flags: a local step, with no label...
+  std::fill_n(Data.end() - 7, 4, '\0');
   Data[Data.size() - 2] = 127; // ...at a pc past every thread's end.
   writeRehashed(Ckpt.Path, Data);
 
@@ -548,6 +550,58 @@ TEST(Resilience, OutOfRangeTraceEdgeIsRejected) {
   RockerReport R = checkRobustness(P, RO);
   EXPECT_EQ(R.Stats.Resilience.ResumeError, "corrupt checkpoint: trace edge");
   EXPECT_FALSE(R.Complete);
+}
+
+TEST(Resilience, TraceEdgeThePackingCannotHoldIsRejected) {
+  // A trace edge keeps one payload word: the pc of a local step or the
+  // label of an access (ParentEdge). An edge carrying both would lose
+  // one in memory and come back different in the next checkpoint, so
+  // resume rejects it. Layout of the last edge as in
+  // OutOfRangeTraceEdgeIsRejected.
+  Program P = findCorpusEntry("dekker-sc").parse();
+  ScopedFile Ckpt(tmpPath("unpackable-edge"));
+  RockerOptions Mid = baseOpts(1);
+  Mid.StopOnViolation = false;
+  Mid.MaxStates = 40;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  const std::string Good = readFile(Ckpt.Path);
+  ASSERT_GT(Good.size(), CkptHeaderBytes + 9);
+
+  auto Edge = [&](char Flags, char Loc, char Pc) {
+    std::string Bad = Good;
+    Bad[Bad.size() - 8] = Flags;
+    std::fill_n(Bad.end() - 7, 5, '\0');
+    Bad[Bad.size() - 6] = Loc;
+    Bad[Bad.size() - 2] = Pc;
+    Bad[Bad.size() - 1] = 0;
+    return Bad;
+  };
+  for (auto [What, Bad] :
+       {std::pair{"local step with a label", Edge(0, 1, 0)},
+        std::pair{"access with a pc", Edge(2, 0, 1)}}) {
+    writeRehashed(Ckpt.Path, Bad);
+    RockerOptions RO = baseOpts(1);
+    RO.StopOnViolation = false;
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError,
+              "corrupt checkpoint: trace edge")
+        << What;
+    EXPECT_FALSE(R.Complete) << What;
+  }
+
+  // The same edges without the extra field resume.
+  for (auto [What, Fine] : {std::pair{"local step", Edge(0, 0, 0)},
+                            std::pair{"access", Edge(2, 1, 0)}}) {
+    writeRehashed(Ckpt.Path, Fine);
+    RockerOptions RO = baseOpts(1);
+    RO.StopOnViolation = false;
+    RO.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, RO);
+    EXPECT_EQ(R.Stats.Resilience.ResumeError, "") << What;
+    EXPECT_TRUE(R.Stats.Resilience.Resumed) << What;
+  }
 }
 
 TEST(Resilience, OutOfRangeBitstateWidthIsRejected) {
