@@ -50,7 +50,8 @@
 //        tagged "configuration" — bench/report_diff.py diffs it against
 //        the committed BENCH_fig7_reports.json. --trace keeps the traced
 //        configuration's recording of its last run in FILE, with an
-//        N-event ring per thread.)
+//        N-event ring per thread. --help prints these lines and the
+//        configuration names.)
 //
 // Exit codes follow rocker_cli's contract: 0 every verdict matches the
 // paper and every configuration rule holds, 1 a mismatch, 2 at least one
@@ -264,6 +265,20 @@ obs::json::Value reportRow(const std::string &Name, const Row &Row,
   return J;
 }
 
+int usage() {
+  std::fprintf(
+      stderr,
+      "usage: fig7_table [-v] [--configs LIST] [--min-states N] [--reps N]\n"
+      "                  [--reports FILE] [--trace FILE[:N]] "
+      "[program-name ...]\n"
+      "\nconfigurations (LIST is comma-separated; `all` names them all; "
+      "base\nalways runs):\n ");
+  for (const char *Name : AllConfigs)
+    std::fprintf(stderr, " %s", Name);
+  std::fprintf(stderr, "\n  (threads-N takes any N in [2, 64])\n");
+  return 3;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -280,6 +295,8 @@ int main(int argc, char **argv) {
       Verbose = true;
       continue;
     }
+    if (A == "--help")
+      return usage();
     if (A.empty() || A[0] != '-') {
       Only.push_back(A);
       continue;

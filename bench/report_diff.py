@@ -27,11 +27,10 @@ configuration's row for the same program in every field the rule
 lists, and a rule with a bar ("bar_pct") fails when the measured
 "overhead_pct" exceeds it.
 
-Also accepts a pair of batch-throughput bench files (schema
-"rocker-bench-batch/1", written by `batch_throughput --json`) or of
-batch summary reports (schema "rocker-batch-report/1", written by
-`rocker_batch --report`). The serving tier has its own cache contract,
-checked by compare_batch and compare_batch_report.
+Also accepts a pair of batch summary reports (schema
+"rocker-batch-report/1", written by `rocker_batch --report`), such as
+the committed BENCH_batch.json, a cold pass over the corpus. Their
+rows are jobs matched by name, checked by compare_batch_report.
 
 Exit status: 0 when clean or only warnings were flagged, 1 when an
 error was found, 2 when a file cannot be read. With --warn-only
@@ -45,9 +44,9 @@ import json
 import sys
 
 SCHEMAS = ("rocker-run-report/1", "rocker-run-report/2")
-BATCH_SCHEMA = "rocker-bench-batch/1"
 BATCH_REPORT_SCHEMA = "rocker-batch-report/1"
-BATCH_HIT_RATE_BAR = 0.95  # warm-pass hit-rate acceptance bar.
+# Per-job fields of a batch report that must be equal: an error.
+BATCH_IDENTITY = ("verdict", "key", "states")
 QUEUE_WAIT_FLOOR_SECONDS = 0.1  # ignore queue-wait jitter below this.
 
 SAME, LOWER, HIGHER = "same", "lower", "higher"
@@ -88,12 +87,9 @@ def field(row, path):
 
 def load_reports(path):
     """Returns ("run", {(program, configuration): report}) for run-report
-    files, or ("batch" | "batchreport", data) for the serving tier's
-    files."""
+    files, or ("batchreport", {job name: job}) for batch reports."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    if isinstance(data, dict) and data.get("schema") == BATCH_SCHEMA:
-        return "batch", data
     if isinstance(data, dict) and data.get("schema") == BATCH_REPORT_SCHEMA:
         return "batchreport", {j["name"]: j for j in data["jobs"]}
     reports = data if isinstance(data, list) else [data]
@@ -102,8 +98,7 @@ def load_reports(path):
         if r.get("schema") not in SCHEMAS:
             raise ValueError(
                 f"{path}: unexpected schema {r.get('schema')!r} "
-                f"(want one of {SCHEMAS!r}, {BATCH_SCHEMA!r} or "
-                f"{BATCH_REPORT_SCHEMA!r})"
+                f"(want one of {SCHEMAS!r} or {BATCH_REPORT_SCHEMA!r})"
             )
         out[(r["program"], r.get("configuration", "base"))] = r
     return "run", out
@@ -210,11 +205,12 @@ def compare_configurations(rows):
 
 
 def compare_batch_report(base, cur, threshold):
-    """Comparison for rocker-batch-report/1 summaries: per job, verdict
-    changes are errors; queue-wait regressions beyond the threshold (over
-    the absolute floor) and wall-time growth beyond the threshold are
-    warnings. Provenance (source) legitimately differs between cold and
-    warm passes, so it is not compared."""
+    """Comparison for rocker-batch-report/1 summaries: per job, a change
+    of verdict, cache key or state count is an error; queue-wait
+    regressions beyond the threshold (over the absolute floor) and
+    wall-time growth beyond the threshold are warnings. Provenance
+    (source) legitimately differs between cold and warm passes, so it is
+    not compared."""
     for name in sorted(set(base) | set(cur)):
         if name not in cur:
             yield "error", f"{name}: present in baseline, missing now"
@@ -223,11 +219,12 @@ def compare_batch_report(base, cur, threshold):
             yield "warn", f"{name}: new job (no baseline)"
             continue
         b, c = base[name], cur[name]
-        if b.get("verdict") != c.get("verdict"):
-            yield "error", (
-                f"{name}: verdict changed "
-                f"{b.get('verdict')!r} -> {c.get('verdict')!r}"
-            )
+        for key in BATCH_IDENTITY:
+            if b.get(key) != c.get(key):
+                yield "error", (
+                    f"{name}: {key} changed "
+                    f"{b.get(key)!r} -> {c.get(key)!r}"
+                )
         bq, cq = b.get("queue_seconds", 0.0), c.get("queue_seconds", 0.0)
         q_delta = pct(cq, bq)
         if cq > QUEUE_WAIT_FLOOR_SECONDS and (
@@ -243,70 +240,6 @@ def compare_batch_report(base, cur, threshold):
             yield "warn", (
                 f"{name}: job wall time grew {bw:.3f}s -> {cw:.3f}s"
             )
-
-
-def compare_batch(base, cur, threshold):
-    """Comparison for batch-throughput bench files (cold-vs-warm verdict
-    cache passes over the evaluation corpus). The cache contract is that
-    a warm hit reproduces the fresh verdict exactly, so per-program
-    verdict, cache-key, state-count, or warm-hit changes are errors; so
-    is a warm hit rate below the 95% acceptance bar. Cold wall-time
-    growth and warm-speedup drops beyond the threshold are timing-class
-    warnings."""
-    b_rows = {p["name"]: p for p in base.get("programs", [])}
-    c_rows = {p["name"]: p for p in cur.get("programs", [])}
-    for name in sorted(set(b_rows) | set(c_rows)):
-        if name not in c_rows:
-            yield "error", f"{name}: present in baseline, missing now"
-            continue
-        if name not in b_rows:
-            yield "warn", f"{name}: new program (no baseline)"
-            continue
-        b, c = b_rows[name], c_rows[name]
-        for key in ("verdict", "key", "states", "warm_hit"):
-            if b.get(key) != c.get(key):
-                yield "error", (
-                    f"{name}: {key} changed "
-                    f"{b.get(key)!r} -> {c.get(key)!r}"
-                )
-
-    if not cur.get("verdicts_identical", True):
-        yield "error", "warm verdicts differ from the cold pass"
-    hit_rate = cur.get("hit_rate", 1.0)
-    if hit_rate < BATCH_HIT_RATE_BAR:
-        yield "error", (
-            f"warm hit rate {100.0 * hit_rate:.1f}% below the "
-            f"{100.0 * BATCH_HIT_RATE_BAR:.0f}% bar"
-        )
-
-    cold_b = base.get("cold", {}).get("seconds", 0)
-    cold_c = cur.get("cold", {}).get("seconds", 0)
-    cold_delta = pct(cold_c, cold_b)
-    if cold_delta is None:
-        if cold_c:
-            yield "warn", (
-                f"cold wall time new/absolute (baseline 0, now "
-                f"{cold_c:.3f}s; no percentage)"
-            )
-    elif cold_delta > threshold:
-        yield "warn", (
-            f"cold wall time grew {cold_delta:.1f}% "
-            f"({cold_b:.3f}s -> {cold_c:.3f}s)"
-        )
-
-    sp_delta = pct(cur.get("speedup", 0), base.get("speedup", 0))
-    if sp_delta is None:
-        if cur.get("speedup", 0):
-            yield "warn", (
-                f"warm speedup new/absolute (baseline 0, now "
-                f"{cur.get('speedup', 0):.0f}x; no percentage)"
-            )
-    elif sp_delta < -threshold:
-        yield "warn", (
-            f"warm speedup dropped {-sp_delta:.1f}% "
-            f"({base.get('speedup', 0):.0f}x -> "
-            f"{cur.get('speedup', 0):.0f}x)"
-        )
 
 
 def main(argv):
@@ -348,18 +281,14 @@ def main(argv):
         print(f"report_diff: {e}", file=sys.stderr)
         return 0 if args.warn_only else 2
 
-    compare_fn = {
-        "batch": compare_batch,
-        "batchreport": compare_batch_report,
-    }.get(base_kind, compare)
+    compare_fn = compare_batch_report if base_kind == "batchreport" \
+        else compare
     findings = list(compare_fn(base, cur, args.threshold))
     for severity, msg in findings:
         print(f"{severity}: {msg}")
     if not findings:
-        count = len(cur.get("programs", [])) if base_kind == "batch" \
-            else len(cur)
         print(
-            f"ok: {count} rows, no regressions beyond "
+            f"ok: {len(cur)} rows, no regressions beyond "
             f"{args.threshold:.0f}%"
         )
     if args.update_baseline:

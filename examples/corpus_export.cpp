@@ -53,6 +53,13 @@ static unsigned writeGroup(const std::filesystem::path &Dir,
 }
 
 int main(int argc, char **argv) {
+  // One optional operand; anything that looks like a flag (--help
+  // included) is refused before a directory is created.
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: corpus_export [directory]   "
+                         "(default: ./programs)\n");
+    return 3;
+  }
   std::filesystem::path Dir = argc > 1 ? argv[1] : "programs";
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);

@@ -121,9 +121,6 @@ int main() {
     R.step("<1, W(y,1)>", T1, Label::write(Y, 1));
     R.step("<2, R(y,1)>", T2, Label::read(Y, 1));
     R.step("<2, R(x,1)>", T2, Label::read(X, 1));
-    MemAccess A{};
-    A.K = MemAccess::Kind::Read;
-    A.Loc = X;
     std::printf("MP is robust: no step ever satisfied the Theorem 5.3 "
                 "violation conditions.\n\n");
   }

@@ -4,7 +4,7 @@
 //
 // The option table below is the single source of truth: usage() is
 // generated from it, so the help text cannot go stale against the parser
-// again (it used to omit --promela and --dump-graph).
+// again (it used to omit --dump-graph).
 //
 // The input is a file in the textual language (see lang/Parser.h), or the
 // name of a bundled corpus program (e.g. "peterson-ra", "SB").
@@ -18,7 +18,6 @@
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "parexplore/ParallelExplorer.h"
-#include "promela/PromelaExport.h"
 #include "resilience/Resilience.h"
 #include "rocker/RobustnessChecker.h"
 #include "rocker/WitnessGraph.h"
@@ -43,7 +42,6 @@ struct CliState {
   bool RunTso = false;
   bool ScOnly = false;
   bool Print = false;
-  bool Promela = false;
   bool DumpGraph = false;
   bool Stats = false;
   std::string ReportPath;       ///< --report / ROCKER_REPORT.
@@ -190,10 +188,6 @@ const CliOption Options[] = {
      [](CliState &C, const char *) { C.ScOnly = true; }},
     {"--print", nullptr, "echo the parsed program",
      [](CliState &C, const char *) { C.Print = true; }},
-    {"--promela", nullptr,
-     "emit the instrumented Promela model (Section 7 pipeline) to stdout "
-     "and exit",
-     [](CliState &C, const char *) { C.Promela = true; }},
     {"--dump-graph", nullptr,
      "on a violation, print the witness execution graph and its Graphviz "
      "rendering",
@@ -662,10 +656,6 @@ int main(int argc, char **argv) {
     return ExitUsage;
   if (C.Print)
     std::printf("%s\n", toString(*P).c_str());
-  if (C.Promela) {
-    std::printf("%s", exportPromela(*P).c_str());
-    return 0;
-  }
 
   std::string Name = P->Name.empty() ? Input : P->Name;
 

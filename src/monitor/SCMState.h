@@ -135,8 +135,11 @@ struct SCMState {
       : Threads(NumThreads), Locs(NumLocs), Abs(Abstract),
         Words(numMasks(NumThreads, NumLocs, Abstract) + (NumLocs + 7) / 8),
         Buf(allocate(Words)) {
+    // All-zero words are empty sets (and M = 0), so one memset clears
+    // every field; the cast says the words are raw storage here.
     if (Words)
-      std::memset(Buf.get(), 0, Words * sizeof(BitSet64));
+      std::memset(static_cast<void *>(Buf.get()), 0,
+                  Words * sizeof(BitSet64));
     bind();
   }
 

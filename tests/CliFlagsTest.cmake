@@ -2,18 +2,35 @@
 # below used to be silently misparsed (strtoull stops at the first
 # non-digit, so "--threads=2x" ran with 2 threads and "abc" became 0);
 # the checked parsers now reject them with the usage exit code 3.
+# All of them run in one fresh directory, so a binary that takes a flag
+# for a file name leaves the file where the test can see it.
 #
 # Run via: cmake -DROCKER_CLI=... -DROCKER_BATCH=... -DFIG7=...
-#               -P CliFlagsTest.cmake
+#               -DCORPUS_EXPORT=... -P CliFlagsTest.cmake
+
+set(WORK "${CMAKE_CURRENT_BINARY_DIR}/cli_flags_work")
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
 
 function(expect_usage)
   execute_process(COMMAND ${ARGV}
+                  WORKING_DIRECTORY "${WORK}"
                   RESULT_VARIABLE RC
                   OUTPUT_VARIABLE OUT
                   ERROR_VARIABLE ERR)
   if(NOT RC EQUAL 3)
     message(FATAL_ERROR
             "expected exit 3 from '${ARGV}', got '${RC}'\n${ERR}")
+  endif()
+  set(USAGE_OUTPUT "${OUT}${ERR}" PARENT_SCOPE)
+endfunction()
+
+# As expect_usage, and the binary must print its usage text.
+function(expect_help)
+  expect_usage(${ARGV})
+  if(NOT USAGE_OUTPUT MATCHES "usage: ")
+    message(FATAL_ERROR
+            "expected a usage text from '${ARGV}', got\n${USAGE_OUTPUT}")
   endif()
 endfunction()
 
@@ -39,6 +56,8 @@ expect_usage(${CMAKE_COMMAND} -E env ROCKER_PROGRESS=abc ${ROCKER_CLI} SB)
 # visited set.
 expect_usage(${ROCKER_CLI} --visited=striped SB)
 expect_usage(${ROCKER_CLI} --no-compress SB)
+# Nor is --promela: the native engine replaced the Spin pipeline.
+expect_usage(${ROCKER_CLI} --promela SB)
 
 # fig7_table: the driver's numbers and configuration names; the
 # sampling knobs are fixed by the sample-* configurations now.
@@ -51,6 +70,9 @@ expect_usage(${FIG7} --configs base,nope)
 expect_usage(${FIG7} --configs raw)
 expect_usage(${FIG7} --trace t.json)
 expect_usage(${FIG7} --samples 12x)
+# --help is the usage text, and never takes the next word as a value.
+expect_help(${FIG7} --help)
+expect_help(${FIG7} --help SB)
 
 # rocker_batch: numeric defaults and the corpus/manifest contract.
 expect_usage(${ROCKER_BATCH} --corpus --jobs 2x)
@@ -59,4 +81,11 @@ expect_usage(${ROCKER_BATCH} --corpus --mem-budget 12Q)
 expect_usage(${ROCKER_BATCH} --corpus --deadline abc)
 expect_usage(${ROCKER_BATCH})
 
-message(STATUS "all malformed-flag invocations rejected with exit 3")
+# corpus_export: one optional directory operand, and no flags.
+expect_help(${CORPUS_EXPORT} --help)
+expect_help(${CORPUS_EXPORT} a b)
+if(EXISTS "${WORK}/--help" OR EXISTS "${WORK}/a")
+  message(FATAL_ERROR "corpus_export wrote programs for a refused call")
+endif()
+
+message(STATUS "all malformed-flag and --help invocations exit 3")

@@ -206,10 +206,12 @@ TEST(Fuzz, SCAgreesWithSCGAndIsContainedInRA) {
   for (unsigned I = 0; I != 80; ++I) {
     Program P = randomProgram(Rng);
     std::optional<bool> Scg = crossCheckSCVsSCG(P);
-    if (Scg)
+    if (Scg) {
       EXPECT_TRUE(*Scg) << toString(P);
+    }
     std::optional<bool> Sub = crossCheckSCSubsetOfRA(P);
-    if (Sub)
+    if (Sub) {
       EXPECT_TRUE(*Sub) << toString(P);
+    }
   }
 }

@@ -113,8 +113,9 @@ void validateTrace(const std::string &Path, uint64_t *NumEvents = nullptr,
     ASSERT_NE(E.find("tid"), nullptr);
     std::pair<uint64_t, uint64_t> Key = {E.find("pid")->asUInt(),
                                          E.find("tid")->asUInt()};
-    if (P != "E")
+    if (P != "E") {
       ASSERT_NE(E.find("name"), nullptr) << P << " event without a name";
+    }
     if (P == "M") {
       if (E.find("name")->asString() == "process_name")
         SawProcessName = true;
@@ -128,9 +129,10 @@ void validateTrace(const std::string &Path, uint64_t *NumEvents = nullptr,
     // sort by ts. Order carries semantics only for span nesting.
     if (P != "C") {
       auto It = LastTs.find(Key);
-      if (It != LastTs.end())
+      if (It != LastTs.end()) {
         EXPECT_GE(T, It->second) << "timestamps not monotonic on tid "
                                  << Key.second;
+      }
       LastTs[Key] = T;
     }
     if (P == "B")

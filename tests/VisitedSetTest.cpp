@@ -867,8 +867,9 @@ TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
   EXPECT_EQ(A.Robust, B.Robust);
   EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates);
   EXPECT_TRUE(A.Complete);
-  if (obs::telemetryEnabled())
+  if (obs::telemetryEnabled()) {
     EXPECT_GE(Growths, 3u);
+  }
 }
 
 namespace {
@@ -912,8 +913,9 @@ TEST(LockFreeVisited, CheckpointAfterGrowthsResumesAtAnotherLog2) {
                      Before.counter(obs::Ctr::VisitedGrowths);
   ASSERT_FALSE(Cut.Complete);
   ASSERT_TRUE(std::filesystem::exists(Ckpt.Path));
-  if (obs::telemetryEnabled())
+  if (obs::telemetryEnabled()) {
     EXPECT_GE(Growths, 2u);
+  }
 
   RockerOptions Fin = Ref;
   Fin.LockFreeLog2 = 20;
